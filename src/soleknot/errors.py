@@ -79,3 +79,8 @@ class EntryTooSmall(SoleknotError):
 
 class EntryTooLarge(SoleknotError):
     """Winding sequence entry exceeds the factorization bound."""
+
+
+class InvalidProfile(SoleknotError):
+    """A prime profile lists a base that is not prime, or a prime in both its
+    finite and infinite parts."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EntryTooLarge, EntryTooSmall, ParseError
+from .errors import EntryTooLarge, EntryTooSmall, InvalidProfile, ParseError
 
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
@@ -64,6 +64,16 @@ class PrimeProfile:
     finite: tuple[tuple[int, int], ...]
     infinite: frozenset[int]
 
+    def __post_init__(self):
+        for p in (*(p for p, _ in self.finite), *self.infinite):
+            if not _is_prime(p):
+                raise InvalidProfile(f"profile base {p} is not prime")
+        both = self.infinite.intersection(p for p, _ in self.finite)
+        if both:
+            raise InvalidProfile(
+                f"prime {min(both)} has both a finite and an infinite exponent"
+            )
+
     def finite_map(self) -> dict[int, int]:
         return dict(self.finite)
 
@@ -75,6 +85,39 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.code} at {self.where}" if self.where else self.code
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above is exact below this limit
+# (Sorenson and Webster, 2015).
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality in time polynomial in the digit count; bases beyond
+    the deterministic Miller-Rabin range raise EntryTooLarge."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        raise EntryTooLarge(f"profile base {n} exceeds the primality-test range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _factor(n: int, bound: int) -> dict[int, int]:

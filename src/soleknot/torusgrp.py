@@ -272,29 +272,43 @@ def centralizer_enumeration_oracle(
     max_len: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[TorusElement]:
-    """Brute-force search for every normal form t^m z with |m| <= max_texp
+    """Exhaustive search for every normal form t^m z with |m| <= max_texp
     and |z| <= max_len that commutes with x_1.
 
-    This enumeration is the independent oracle for the centralizer shape:
-    it never consults the conjugator machinery.  The only pruning is a
-    length bound that follows from free reduction alone (z x_1 has length
-    |z| +- 1 while beta^m(x_1) z has length at least |beta^m(x_1)| - |z|,
-    so no match is possible once |beta^m(x_1)| > 2 max_len + 1).
+    t^m z commutes with x_1 exactly when z x_1 = beta^m(x_1) z in the free
+    group, and right-multiplying by z^-1 turns that into
+
+        beta^m(x_1) = z x_1 z^-1.
+
+    So the search is a join over the whole (m, z) box: the images
+    u = beta^m(x_1) go into a dict keyed by u, each reduced word z with
+    |z| <= max_len is streamed once, and z x_1 z^-1 is looked up.  That
+    costs two word products per z instead of two per (m, z) pair.  The
+    only pruning is a length bound that follows from free reduction
+    alone: |z x_1 z^-1| <= 2 |z| + 1, so an image longer than
+    2 max_len + 1 can never match and is left out of the dict.
+
+    This enumeration is the independent oracle for the centralizer shape.
+    It never consults :func:`meridian_conjugator` or the cyclic
+    decomposition behind it: it finds the centralizer from the defining
+    equation alone, so the (t^n w, x_1) pair is checked against elements
+    that no step of its own construction produced.
     """
     _require_knot(beta)
     size = enumeration_size(beta.strands, max_texp, max_len)
     if size > budget:
         raise BudgetExceeded(f"enumeration of {size} candidates exceeds budget {budget}")
     x1 = Word([1])
-    found: list[TorusElement] = []
-    candidates = list(_reduced_words(beta.strands, max_len))
+    texps_by_image: dict[Word, list[int]] = {}
     for m in range(-max_texp, max_texp + 1):
         u = apply_power(beta, m, x1)
-        if len(u) > 2 * max_len + 1:
-            continue
-        for z in candidates:
-            if z * x1 == u * z:
-                found.append(TorusElement(m, z))
+        if len(u) <= 2 * max_len + 1:
+            texps_by_image.setdefault(u, []).append(m)
+    found: list[TorusElement] = []
+    for z in _reduced_words(beta.strands, max_len):
+        texps = texps_by_image.get(z * x1 * ~z)
+        if texps is not None:
+            found.extend(TorusElement(m, z) for m in texps)
     found.sort(key=lambda el: (el.texp, len(el.tail), el.tail._s))
     return found
 

@@ -44,6 +44,16 @@ def test_full_annihilation_large():
     assert Word(raw) == Word()
 
 
+def test_nested_cancellation_reduce():
+    # (x1 x2)^k (X2 X1)^k cancels from the middle out, a few pairs per
+    # pair-deletion pass; 64k letters
+    k = 16000
+    raw = [1, 2] * k + [-2, -1] * k
+    assert Word(raw) == Word()
+    raw = [1, 2] * k + [3, -3] + [-2, -1] * (k - 3) + [3]
+    assert Word(raw).letters == naive_reduce(raw)
+
+
 def test_deep_seam_multiply():
     rng = random.Random(3)
     for _ in range(20):

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soleknot.errors import EntryTooLarge, EntryTooSmall, ParseError
+from soleknot.errors import EntryTooLarge, EntryTooSmall, InvalidProfile, ParseError
 from soleknot.solenoid import (
+    PrimeProfile,
     WindingSeq,
     parse_profile,
     parse_winding_seq,
@@ -118,4 +119,29 @@ def test_profile_text_roundtrip():
     assert parse_profile(profile_text(pr)) == pr
     empty = profile(WindingSeq((), (2,)))
     assert parse_profile(profile_text(empty)) == empty
-    assert profile_text(parse_profile("1")) == "1"
+    for text in ["1", "2", "2^inf", "2^2 3 5^inf", "2^inf 3^inf", "3 7^4 11^inf 13", "999983^inf"]:
+        assert profile_text(parse_profile(text)) == text
+
+
+@given(seqs)
+@settings(max_examples=120, derandomize=True)
+def test_profile_value_roundtrip(a):
+    pr = profile(a)
+    assert parse_profile(profile_text(pr)) == pr
+
+
+def test_profile_rejects_broken_invariant():
+    # 4 is not prime, and 2 would land in both parts
+    for text in ["4 2^inf 2", "4", "2^inf 2", "3^2 3^inf", "1^inf", "0", "9^inf"]:
+        with pytest.raises(InvalidProfile):
+            parse_profile(text)
+    with pytest.raises(InvalidProfile):
+        PrimeProfile(((2, 1),), frozenset({2}))
+    with pytest.raises(InvalidProfile):
+        PrimeProfile(((6, 1),), frozenset())
+    # Carmichael number and a strong pseudoprime to the bases 2, 3, 5, 7
+    for composite in [561, 3215031751]:
+        with pytest.raises(InvalidProfile):
+            PrimeProfile((), frozenset({composite}))
+    with pytest.raises(EntryTooLarge):
+        parse_profile(f"{10**30 + 57}^inf")

@@ -1,5 +1,6 @@
 """Mapping-torus normal forms, the centralizer machinery, the enumeration oracle."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from soleknot.errors import BudgetExceeded, IndexOutOfRank, NotAKnot, ParseError
 from soleknot.freegroup import Word, apply_endo, word_text
 from soleknot.braid import artin_endo
 from soleknot.presentations import presentation_text
+from soleknot import torusgrp
+from soleknot.verify import det_knot_corpus
 from soleknot.torusgrp import (
     TorusElement,
     apply_power,
@@ -203,6 +206,58 @@ def test_enumeration_budget():
     assert enumeration_size(2, 2, 2) == 5 * (1 + 4 + 12)
     with pytest.raises(BudgetExceeded):
         centralizer_enumeration_oracle(S1, 2, 2, budget=10)
+
+
+def naive_enumeration(beta, max_texp, max_len):
+    """Pairwise search: test z x1 == beta^m(x1) z for every (m, z) in the
+    box, with the same length pruning and the box built from raw letter
+    tuples rather than the oracle's word generator."""
+    letters = [x for i in range(1, beta.strands + 1) for x in (i, -i)]
+    candidates = [
+        Word(raw)
+        for length in range(max_len + 1)
+        for raw in itertools.product(letters, repeat=length)
+        if all(a != -b for a, b in zip(raw, raw[1:]))
+    ]
+    assert (2 * max_texp + 1) * len(candidates) == enumeration_size(
+        beta.strands, max_texp, max_len
+    )
+    x1 = Word([1])
+    found = []
+    for m in range(-max_texp, max_texp + 1):
+        u = apply_power(beta, m, x1)
+        if len(u) > 2 * max_len + 1:
+            continue
+        for z in candidates:
+            if z * x1 == u * z:
+                found.append(TorusElement(m, z))
+    found.sort(key=lambda el: (el.texp, len(el.tail), el.tail._s))
+    return found
+
+
+def test_enumeration_matches_naive_corpus():
+    corpus = det_knot_corpus(5)
+    assert len(corpus) == 210
+    for b in corpus:
+        assert centralizer_enumeration_oracle(b, 2 * b.strands, 4) == naive_enumeration(
+            b, 2 * b.strands, 4
+        ), b
+
+
+def test_enumeration_matches_naive_len6_sample():
+    for b in det_knot_corpus(5)[::15]:
+        assert centralizer_enumeration_oracle(b, 2 * b.strands, 6) == naive_enumeration(
+            b, 2 * b.strands, 6
+        ), b
+
+
+def test_enumeration_budget_checked_before_any_work(monkeypatch):
+    def fail(*args):
+        raise AssertionError("apply_power called before the budget check")
+
+    monkeypatch.setattr(torusgrp, "apply_power", fail)
+    with pytest.raises(BudgetExceeded):
+        centralizer_enumeration_oracle(S1_3, 4, 6, budget=enumeration_size(2, 4, 6) - 1)
 
 
 def test_torus_element_text_roundtrip():
