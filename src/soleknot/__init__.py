@@ -98,7 +98,6 @@ from .torusgrp import (
     apply_power,
     centralizer_enumeration_oracle,
     centralizer_generators,
-    closure_meridian,
     meridian_conjugator,
     mt_invert,
     mt_multiply,

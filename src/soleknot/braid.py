@@ -165,6 +165,10 @@ def artin_endo(b: Braid) -> FreeEndo:
 
     Each generator image is a conjugate of a single generator and the
     product x_1 ... x_n is fixed exactly; both facts are property-tested.
+
+    The returned endo also holds the braid's power ladder (see
+    :func:`soleknot.torusgrp.apply_power`), so this bounded LRU is the only
+    per-braid cache and ``artin_endo.cache_clear()`` drops everything.
     """
     e = identity_endo(b.strands)
     for letter in b.word:

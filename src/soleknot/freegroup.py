@@ -35,6 +35,7 @@ __all__ = [
     "identity_endo",
     "cyclic_decompose",
     "exponent_sum",
+    "fits_rank",
     "parse_word",
     "word_text",
 ]
@@ -49,6 +50,8 @@ _INV_ORD.update({255 - k: k for k in range(1, MAX_RANK + 1)})
 # bytes.translate (memcpy speed) with latin-1 round trips
 _INV_BYTES = bytes(_INV_ORD.get(o, o) for o in range(256))
 _INV_CHAR = {chr(o): chr(i) for o, i in _INV_ORD.items()}
+# _RANK_BYTES[n]: the bytes of x_1..x_n and their inverses
+_RANK_BYTES = [bytes(range(1, n + 1)) + bytes(range(255 - n, 255)) for n in range(MAX_RANK)]
 
 _SMALL_REDUCE = 512
 # Translated braid-action words converge in at most 14 pair-deletion passes
@@ -187,7 +190,7 @@ class Word:
     Word('X2 X1')
     """
 
-    __slots__ = ("_s", "_mi")
+    __slots__ = ("_s",)
 
     def __init__(self, letters: Iterable[int] = ()):
         if isinstance(letters, Word):
@@ -207,16 +210,7 @@ class Word:
 
     def max_index(self) -> int:
         """Largest generator index used (0 for the identity)."""
-        try:
-            return self._mi
-        except AttributeError:
-            pass
-        mi = max(
-            (o if o <= MAX_RANK else 255 - o for o in map(ord, set(self._s))),
-            default=0,
-        )
-        self._mi = mi
-        return mi
+        return max((abs(_dec(c)) for c in set(self._s)), default=0)
 
     def __len__(self) -> int:
         return len(self._s)
@@ -242,13 +236,13 @@ class Word:
         return Word._raw(_invert_str(self._s))
 
     def __pow__(self, n: int) -> "Word":
+        # w = p c p^-1 with c cyclically reduced, so w^n = p c^n p^-1 and
+        # the core repeats without cancellation
         if n == 0:
             return Word()
-        base = self if n > 0 else ~self
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        prefix, core = cyclic_decompose(self)
+        c = core._s if n > 0 else _invert_str(core._s)
+        return Word._raw(prefix._s + c * abs(n) + _invert_str(prefix._s))
 
     def __repr__(self) -> str:
         return f"Word({word_text(self)!r})"
@@ -292,6 +286,25 @@ def cyclic_decompose(w: Word) -> tuple[Word, Word]:
     return Word._raw(s[:j]), Word._raw(s[j : len(s) - j])
 
 
+def fits_rank(w: Word, rank: int) -> bool:
+    """Whether w uses only the generators x_1..x_rank.
+
+    Deleting the bytes of those letters and their inverses must leave
+    nothing; a rank of MAX_RANK or more holds every word.
+
+    >>> fits_rank(Word([2, -1]), 2), fits_rank(Word([-3]), 2)
+    (True, False)
+    """
+    if rank >= MAX_RANK:
+        return True
+    return not w._s.encode("latin-1").translate(None, _RANK_BYTES[max(rank, 0)])
+
+
+def _check_rank(w: Word, rank: int) -> None:
+    if not fits_rank(w, rank):
+        raise IndexOutOfRank(f"word uses a generator above rank {rank}")
+
+
 def exponent_sum(w: Word, generator: int | None = None) -> int:
     """Signed letter count of one generator, or of the whole word.
 
@@ -333,10 +346,7 @@ class FreeEndo:
         if len(self.images) != self.rank:
             raise ValueError("need exactly one image per generator")
         for img in self.images:
-            if img.max_index() > self.rank:
-                raise IndexOutOfRank(
-                    f"image {img} uses a generator above rank {self.rank}"
-                )
+            _check_rank(img, self.rank)
 
     @property
     def _table(self) -> list[str | None]:
@@ -358,6 +368,22 @@ class FreeEndo:
             self.__dict__["_mi"] = m
         return m
 
+    def _apply_power(self, m: int, w: Word) -> Word:
+        """self^m applied to w, for m >= 0, by the binary ladder
+        self^(2^j).  The ladder is memoized on the endo; the fill is
+        idempotent (setdefault), so racing threads may waste work but
+        always observe the same values."""
+        ladder = self.__dict__.setdefault("_ladder", {})
+        e, j = self, 0
+        while m:
+            if m & 1:
+                w = apply_endo(e, w)
+            m >>= 1
+            if m:
+                j += 1
+                e = ladder.get(j) or ladder.setdefault(j, compose(e, e))
+        return w
+
     def __call__(self, w: Word) -> Word:
         return apply_endo(self, w)
 
@@ -366,14 +392,9 @@ def identity_endo(rank: int) -> FreeEndo:
     return FreeEndo(rank, tuple(Word._raw(chr(i)) for i in range(1, rank + 1)))
 
 
-def _check_rank(e: FreeEndo, w: Word) -> None:
-    if w.max_index() > e.rank:
-        raise IndexOutOfRank(f"word uses generator above rank {e.rank}")
-
-
 def apply_endo(e: FreeEndo, w: Word) -> Word:
     """Homomorphic substitution followed by free reduction."""
-    _check_rank(e, w)
+    _check_rank(w, e.rank)
     s = w._s
     if not s:
         return w

@@ -22,7 +22,7 @@ from .errors import (
     NotInfiniteCyclic,
     NotKnotLike,
 )
-from .freegroup import FreeEndo, Word, apply_endo, cyclic_decompose, exponent_sum
+from .freegroup import FreeEndo, Word, apply_endo, cyclic_decompose, exponent_sum, fits_rank
 from .laurent import LaurentPoly, poly_determinant
 from .presentations import PeripheralPair, Presentation
 from .snf import diagonal, smith_normal_form
@@ -106,7 +106,7 @@ def h1_class(p: Presentation, w: Word) -> int:
     if p.peripheral is None:
         raise MissingPeripheral("presentation has no peripheral pair")
     vec = h1_vector(p)
-    if w.max_index() > p.rank:
+    if not fits_rank(w, p.rank):
         raise InvalidPresentation("word addresses a missing generator")
 
     def cls(word: Word) -> int:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InvalidPresentation, ParseError
-from .freegroup import Word
+from .freegroup import Word, fits_rank
 
 __all__ = [
     "PeripheralPair",
@@ -69,11 +69,11 @@ class Presentation:
             raise InvalidPresentation("duplicate generator names")
         n = len(self.gens)
         for r in self.relators:
-            if r.max_index() > n:
+            if not fits_rank(r, n):
                 raise InvalidPresentation(f"relator {r} addresses a missing generator")
         if self.peripheral is not None:
             for w in (self.peripheral.meridian, self.peripheral.longitude):
-                if w.max_index() > n:
+                if not fits_rank(w, n):
                     raise InvalidPresentation(f"peripheral word {w} addresses a missing generator")
 
     @property

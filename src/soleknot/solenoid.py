@@ -59,12 +59,19 @@ class WindingSeq:
 @dataclass(frozen=True)
 class PrimeProfile:
     """Supernatural number: finite prime exponents plus the set of primes
-    with infinite exponent.  The two parts are disjoint."""
+    with infinite exponent.  The two parts are disjoint, and the finite
+    part lists strictly increasing bases with exponents >= 1, so every
+    supernatural number has exactly one value."""
 
     finite: tuple[tuple[int, int], ...]
     infinite: frozenset[int]
 
     def __post_init__(self):
+        for i, (p, e) in enumerate(self.finite):
+            if e < 1:
+                raise InvalidProfile(f"profile exponent {p}^{e} is below 1")
+            if i and p <= self.finite[i - 1][0]:
+                raise InvalidProfile(f"profile bases are not strictly increasing at {p}")
         for p in (*(p for p, _ in self.finite), *self.infinite):
             if not _is_prime(p):
                 raise InvalidProfile(f"profile base {p} is not prime")

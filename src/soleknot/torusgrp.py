@@ -11,8 +11,11 @@ the x_i, and
     (m1, z1) * (m2, z2) = (m1 + m2, beta^m2(z1) * z2).
 
 Elements carry no reference to the braid; arithmetic takes the braid as an
-explicit context argument, and the powers of its automorphism are memoized
-per braid (idempotent cache, safe under concurrent use).
+explicit context argument.  beta^m runs the binary ladder e^(2^j) of
+e = ``artin_endo(beta)`` (of the inverse braid when m < 0), memoized on
+that endomorphism itself (idempotent fill, safe under concurrent use).
+``artin_endo``'s bounded LRU is thus the only per-braid cache, and
+``artin_endo.cache_clear()`` drops the ladders with it.
 
 Text form of an element: ``t^<m> | <word>``, e.g. ``t^2 | x1 x2``; the
 identity tail leaves nothing after the bar.
@@ -28,15 +31,12 @@ from .errors import (
     BudgetExceeded,
     CoreMismatch,
     DomainError,
-    IndexOutOfRank,
     NotAKnot,
     ParseError,
 )
 from .freegroup import (
-    FreeEndo,
     Word,
-    apply_endo,
-    compose,
+    _check_rank,
     cyclic_decompose,
     parse_word,
     word_text,
@@ -51,7 +51,6 @@ __all__ = [
     "mt_invert",
     "mt_pow",
     "solid_torus_presentation",
-    "closure_meridian",
     "meridian_conjugator",
     "centralizer_generators",
     "power_identity_check",
@@ -59,7 +58,6 @@ __all__ = [
     "enumeration_size",
     "parse_torus_element",
     "torus_element_text",
-    "clear_power_cache",
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
@@ -76,67 +74,21 @@ class TorusElement:
         return torus_element_text(self)
 
 
-class _BraidPowers:
-    """Memoized powers-of-two of a braid's automorphism (both signs).
-
-    The cache fill is idempotent (setdefault), so racing threads may waste
-    work but always observe the same values."""
-
-    def __init__(self, braid: Braid):
-        self.rank = braid.strands
-        self._cache: dict[tuple[int, int], FreeEndo] = {
-            (1, 0): artin_endo(braid),
-            (-1, 0): artin_endo(braid.inverse()),
-        }
-
-    def _pow2(self, sign: int, j: int) -> FreeEndo:
-        e = self._cache.get((sign, j))
-        if e is None:
-            prev = self._pow2(sign, j - 1)
-            e = self._cache.setdefault((sign, j), compose(prev, prev))
-        return e
-
-    def apply(self, m: int, w: Word) -> Word:
-        sign = 1 if m > 0 else -1
-        m = abs(m)
-        j = 0
-        while m:
-            if m & 1:
-                w = apply_endo(self._pow2(sign, j), w)
-            m >>= 1
-            j += 1
-        return w
-
-
-_powers: dict[Braid, _BraidPowers] = {}
-
-
-def _powers_for(beta: Braid) -> _BraidPowers:
-    ctx = _powers.get(beta)
-    if ctx is None:
-        ctx = _powers.setdefault(beta, _BraidPowers(beta))
-    return ctx
-
-
-def clear_power_cache() -> None:
-    _powers.clear()
-
-
 def apply_power(beta: Braid, m: int, w: Word) -> Word:
     """beta^m applied to w, for any integer m (negative uses the inverse
     braid's automorphism, which composes with the forward one to the
     identity)."""
-    if w.max_index() > beta.strands:
-        raise IndexOutOfRank(f"word uses generator above rank {beta.strands}")
+    _check_rank(w, beta.strands)
     if m == 0 or not w:
         return w
-    return _powers_for(beta).apply(m, w)
+    if m > 0:
+        return artin_endo(beta)._apply_power(m, w)
+    return artin_endo(beta.inverse())._apply_power(-m, w)
 
 
 def mt_multiply(a: TorusElement, b: TorusElement, beta: Braid) -> TorusElement:
     """(m1, z1)(m2, z2) = (m1 + m2, beta^m2(z1) z2), reduced."""
-    if b.tail.max_index() > beta.strands:
-        raise IndexOutOfRank(f"word uses generator above rank {beta.strands}")
+    _check_rank(b.tail, beta.strands)
     return TorusElement(a.texp + b.texp, apply_power(beta, b.texp, a.tail) * b.tail)
 
 
@@ -157,7 +109,7 @@ def mt_pow(a: TorusElement, k: int, beta: Braid) -> TorusElement:
 def solid_torus_presentation(beta: Braid) -> Presentation:
     """The n+1 generator presentation above, with peripheral data for the
     outer boundary torus: meridian x_1...x_n, longitude t.  The meridian of
-    the closed-braid boundary is always x_1 (see :func:`closure_meridian`).
+    the closed-braid boundary is always x_1.
     """
     n = beta.strands
     e = artin_endo(beta)
@@ -168,11 +120,6 @@ def solid_torus_presentation(beta: Braid) -> Presentation:
     )
     peripheral = PeripheralPair(Word(range(1, n + 1)), Word([t]))
     return Presentation(gens, relators, peripheral)
-
-
-def closure_meridian(beta: Braid) -> Word:
-    """Meridian of the closed braid inside the solid torus: x_1."""
-    return Word([1])
 
 
 def _require_knot(beta: Braid) -> None:

@@ -80,10 +80,36 @@ def test_apply_endo_paths_agree():
 
 
 def test_power_application_consistent_with_stepping():
-    # bit-doubled power application equals one-step iteration
-    for braid in [Braid(3, (1, -2)), Braid(3, (1, -2, 1, -2)), Braid(2, (1, 1, 1))]:
-        e = artin_endo(braid)
-        stepped = Word([1])
-        for m in range(1, 7):
-            stepped = apply_endo(e, stepped)
-            assert apply_power(braid, m, Word([1])) == stepped
+    # the bit-doubled ladder against one-step iteration of artin_endo, for
+    # both signs of m and for words other than x1; the oracle never runs
+    # the ladder
+    cases = [
+        (Braid(3, (1, -2)), 9),
+        (Braid(3, (1, -2, 1, -2)), 6),
+        (Braid(2, (1, 1, 1)), 9),
+        (Braid(4, (1, 2, 3)), 9),
+        (Braid(4, (1, -2, 3)), 9),
+    ]
+    for braid, top in cases:
+        n = braid.strands
+        artin_endo.cache_clear()
+        apply_power(braid, -top, Word([1]))
+        assert artin_endo.cache_info().currsize <= 2
+        for w in (Word([1]), Word([n, -1, n]), Word([-n, 1])):
+            assert apply_power(braid, 0, w) == w
+            for sign, b in ((1, braid), (-1, braid.inverse())):
+                e = artin_endo(b)
+                stepped = w
+                for m in range(1, top + 1):
+                    stepped = apply_endo(e, stepped)
+                    assert apply_power(braid, sign * m, w) == stepped
+
+
+def test_large_power_of_conjugated_core():
+    # w = p c p^-1 with |p| = 2: the core repeats and the prefix stays
+    n = 200_000
+    w = Word([2, 3, 1, -2, 1, -3, -2])
+    expected = Word([2, 3] + [1, -2, 1] * n + [-3, -2])
+    assert w ** n == expected
+    assert w ** -n == ~expected
+    assert len(w ** n) == 3 * n + 4

@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from soleknot.errors import IndexOutOfRank, ParseError, RankMismatch
 from soleknot.freegroup import (
+    MAX_RANK,
     FreeEndo,
     Word,
     apply_endo,
     compose,
     cyclic_decompose,
     exponent_sum,
+    fits_rank,
     identity_endo,
     invert,
     multiply,
@@ -119,6 +121,25 @@ def test_apply_endo_examples():
 def test_apply_endo_rank_error():
     with pytest.raises(IndexOutOfRank):
         apply_endo(sigma1(), Word([3]))
+    # letters n and -n fit rank n, n + 1 and -(n + 1) do not; the engine
+    # has no letter above MAX_RANK, so rank 120 holds every word
+    for n in (1, 2, 119, 120):
+        e = identity_endo(n)
+        for letter in (n, -n):
+            assert apply_endo(e, Word([letter, letter])) == Word([letter, letter])
+            assert FreeEndo(n, (Word([letter]),) + e.images[1:]).rank == n
+        if n < MAX_RANK:
+            for letter in (n + 1, -(n + 1)):
+                with pytest.raises(IndexOutOfRank):
+                    apply_endo(e, Word([1, letter]))
+                with pytest.raises(IndexOutOfRank):
+                    FreeEndo(n, (Word([letter]),) + e.images[1:])
+
+
+@given(words, st.integers(min_value=-1, max_value=8))
+@settings(derandomize=True)
+def test_fits_rank_matches_letter_scan(w, rank):
+    assert fits_rank(w, rank) == all(abs(x) <= rank for x in w.letters)
 
 
 @given(words, words)
@@ -127,6 +148,15 @@ def test_apply_endo_homomorphic(a, b):
     e = identity_endo(6)
     shuffled = FreeEndo(6, (e.images[1], e.images[0]) + e.images[2:])
     assert apply_endo(shuffled, a * b) == apply_endo(shuffled, a) * apply_endo(shuffled, b)
+
+
+@given(words, st.integers(min_value=-5, max_value=5))
+@settings(derandomize=True)
+def test_pow_matches_repeated_multiply(w, n):
+    expected = Word()
+    for _ in range(abs(n)):
+        expected = expected * (w if n > 0 else ~w)
+    assert w ** n == expected
 
 
 def test_compose_examples():

@@ -139,6 +139,13 @@ def test_profile_rejects_broken_invariant():
         PrimeProfile(((2, 1),), frozenset({2}))
     with pytest.raises(InvalidProfile):
         PrimeProfile(((6, 1),), frozenset())
+    # one spelling per profile: exponents >= 1, bases strictly increasing
+    for text in ["2^0", "3 2^0", "5^0 7^inf"]:
+        with pytest.raises(InvalidProfile):
+            parse_profile(text)
+    for finite in [((2, 1), (2, 1)), ((3, 1), (2, 1)), ((2, -1),), ((2, 0),)]:
+        with pytest.raises(InvalidProfile):
+            PrimeProfile(finite, frozenset())
     # Carmichael number and a strong pseudoprime to the bases 2, 3, 5, 7
     for composite in [561, 3215031751]:
         with pytest.raises(InvalidProfile):

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soleknot.braid import Braid, closure_info
-from soleknot.errors import BudgetExceeded, IndexOutOfRank, NotAKnot, ParseError
+from soleknot.errors import (
+    BudgetExceeded,
+    IndexOutOfRank,
+    InvalidPresentation,
+    NotAKnot,
+    ParseError,
+)
+from soleknot.knotgrp import h1_class, sphere_closure_presentation
 from soleknot.freegroup import Word, apply_endo, word_text
 from soleknot.braid import artin_endo
-from soleknot.presentations import presentation_text
+from soleknot.presentations import PeripheralPair, Presentation, presentation_text
 from soleknot import torusgrp
 from soleknot.verify import det_knot_corpus
 from soleknot.torusgrp import (
@@ -56,6 +63,37 @@ def test_mt_rank_validation():
         mt_multiply(TorusElement(0, Word([3])), TorusElement(0, Word()), S1)
     with pytest.raises(IndexOutOfRank):
         mt_multiply(TorusElement(0, Word()), TorusElement(0, Word([3])), S1)
+    # letters n and -n fit a braid on n strands, n + 1 and -(n + 1) do not,
+    # at every power including m = 0; 120 strands hold every word
+    for beta in (Braid(1), S1, S1_3, Braid(119), Braid(120)):
+        n = beta.strands
+        for letter in (n, -n):
+            w = Word([letter])
+            assert apply_power(beta, 0, w) == w
+            assert apply_power(beta, 2, w) == apply_power(beta, -1, apply_power(beta, 3, w))
+            el = TorusElement(1, w)
+            assert mt_multiply(el, el, beta).texp == 2
+        if n < 120:
+            for letter in (n + 1, -(n + 1)):
+                w = Word([letter])
+                for m in (0, 1, -1):
+                    with pytest.raises(IndexOutOfRank):
+                        apply_power(beta, m, w)
+                for a, b in ((TorusElement(0, w), TorusElement(0, Word())),
+                             (TorusElement(0, Word()), TorusElement(0, w))):
+                    with pytest.raises(IndexOutOfRank):
+                        mt_multiply(a, b, beta)
+    # presentations and homology classes reject words past their rank
+    p = sphere_closure_presentation(S1_3)
+    assert h1_class(p, Word([-p.rank])) == -1
+    with pytest.raises(InvalidPresentation):
+        h1_class(p, Word([p.rank + 1]))
+    for bad in (Word([-(p.rank + 1)]), Word([1, p.rank + 1])):
+        with pytest.raises(InvalidPresentation):
+            Presentation(p.gens, p.relators + (bad,))
+        with pytest.raises(InvalidPresentation):
+            Presentation(p.gens, p.relators, PeripheralPair(bad, p.peripheral.longitude))
+    assert Presentation(p.gens, p.relators + (Word([-p.rank]),)).rank == p.rank
 
 
 def test_power_identity_k_cap():
