@@ -186,38 +186,31 @@ def cable_tight_criterion(
     return CableCheck(ok, z, w)
 
 
-def _coprime_pairs(bound: int) -> Iterable[tuple[int, int]]:
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            if math.gcd(p, q) == 1:
-                yield p, q
-
-
 def search_cable_tight_witnesses(bound: int) -> list[tuple[int, ...]]:
     """Every parameter tuple (s, t, p, q, d, eps, delta) with all of
     |s|, |t|, |p|, |q|, |d| <= bound satisfying the criterion.
 
+    Every guard below is the criterion's identity multiplied through by
+    d*t != 0, d*(p*q*t - s) = -eps*t + delta*z*w, and the loops fix its
+    side conditions (d >= 2, z = gcd(t, d) > 1, |eps| = 1, |delta| <= 1,
+    gcd(p, q) = 1), so a tuple that passes its guard is emitted as is.  The
+    exact-rational oracle is ``verify.cable_suite`` (criterion 6), which
+    re-checks every hit with ``Fraction``.
+
     The search is exhaustive over the box; it only skips regions excluded
-    by bounds that follow from the defining identity itself:
+    by bounds that follow from the identity itself:
 
     * for s != 0, w divides s so w <= bound, and the identity forces
       d*|p*q*t - s| <= |t| + z*w, confining s to a window around p*q*t
       (and p*q*t itself to the window's reach of the [-bound, bound] range);
     * s = 0 (where w = |d*p*q + eps| may exceed the bound) is checked
       directly for every remaining parameter combination.
-
-    Every emitted tuple is verified through :func:`cable_tight_criterion`
-    before being returned.
     """
+    span = range(-bound, bound + 1)
+    pairs = [(p, q, p * q) for p in span for q in span if math.gcd(p, q) == 1]
     hits: list[tuple[int, ...]] = []
-
-    def record(s, t, p, q, d, eps, delta):
-        check = cable_tight_criterion(s, t, p, q, d, eps, delta)
-        if check.satisfied:
-            hits.append((s, t, p, q, d, eps, delta))
-
     for d in range(2, bound + 1):
-        for t in range(-bound, bound + 1):
+        for t in span:
             if t == 0:
                 continue
             z = math.gcd(t, d)
@@ -231,17 +224,18 @@ def search_cable_tight_witnesses(bound: int) -> list[tuple[int, ...]]:
                         if eps * t % d:
                             continue
                         shift = eps * t // d
-                        for p, q in _coprime_pairs(bound):
-                            s = p * q * t + shift
+                        for p, q, pq in pairs:
+                            s = pq * t + shift
                             if abs(s) <= bound:
-                                record(s, t, p, q, d, eps, delta)
+                                hits.append((s, t, p, q, d, eps, delta))
                         continue
-                    for p, q in _coprime_pairs(bound):
-                        center = p * q * t
+                    for p, q, pq in pairs:
+                        center = pq * t
+                        dpq_eps = d * pq + eps
                         # s = 0 first: its w = |d p q + eps| can exceed the
                         # bound, so it lives outside the window below
-                        if d * center == -eps * t + delta * z * abs(d * p * q + eps):
-                            record(0, t, p, q, d, eps, delta)
+                        if d * center == -eps * t + delta * z * abs(dpq_eps):
+                            hits.append((0, t, p, q, d, eps, delta))
                         if abs(center) > bound + window:
                             continue
                         lo = max(-bound, center - window)
@@ -249,8 +243,8 @@ def search_cable_tight_witnesses(bound: int) -> list[tuple[int, ...]]:
                         for s in range(lo, hi + 1):
                             if s == 0:
                                 continue
-                            w = math.gcd(s, d * p * q + eps)
+                            w = math.gcd(s, dpq_eps)
                             if d * (center - s) == -eps * t + delta * z * w:
-                                record(s, t, p, q, d, eps, delta)
+                                hits.append((s, t, p, q, d, eps, delta))
     hits.sort()
     return hits

@@ -320,7 +320,12 @@ CABLE_WITNESSES = (
 
 def cable_suite(bound: int = 30, sample_rejects: int = 200, seed: int = 0) -> list[str]:
     """Bounded exhaustive witness search for the cable-embedding arithmetic,
-    plus rejection checks for d = 1 and gcd(t, d) = 1."""
+    plus rejection checks for d = 1 and gcd(t, d) = 1.
+
+    This is the exact-rational oracle for
+    :func:`~soleknot.satellite.search_cable_tight_witnesses`: the search
+    decides in cleared-denominator integers, and every hit it returns is
+    re-checked here in ``Fraction`` arithmetic."""
     bad: list[str] = []
     hits = search_cable_tight_witnesses(bound)
     if not hits:
@@ -401,31 +406,26 @@ def solenoid_suite(pairs: int = 200, seed: int = 0) -> list[str]:
         rotated = WindingSeq(a.preperiod, a.period[r:] + a.period[:r])
         if not solenoids_equivalent(a, rotated):
             bad.append(f"rotation invariance failed: {a} vs {rotated}")
-        # multiplicativity of a preperiod extension
+        # multiplicativity of a preperiod extension, without factoring m:
+        # m loses the infinite primes, and the finite exponents must grow by
+        # prime powers (bases are prime by PrimeProfile's invariant) whose
+        # product is what is left of m
         m = rng.randint(2, 50)
         extended = profile(WindingSeq(a.preperiod + (m,), a.period))
         base = profile(a)
-        expect = dict(base.finite)
-        for prime, e in _factor_map(m).items():
-            if prime not in base.infinite:
-                expect[prime] = expect.get(prime, 0) + e
-        if extended.finite_map() != expect or extended.infinite != base.infinite:
+        rest = m
+        for prime in base.infinite:
+            while rest % prime == 0:
+                rest //= prime
+        old, new = base.finite_map(), extended.finite_map()
+        gains = {prime: new.get(prime, 0) - old.get(prime, 0) for prime in old.keys() | new.keys()}
+        if (
+            extended.infinite != base.infinite
+            or min(gains.values(), default=0) < 0
+            or math.prod(prime**gain for prime, gain in gains.items()) != rest
+        ):
             bad.append(f"multiplicativity failed for {a} + [{m}]")
     return bad
-
-
-def _factor_map(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
 
 
 def negative_control_suite() -> list[str]:

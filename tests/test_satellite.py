@@ -145,11 +145,16 @@ def naive_search(bound):
     return hits
 
 
-def test_search_matches_naive_at_small_bound():
-    bound = 6
+@pytest.mark.parametrize("bound", [1, 2, 6])
+def test_search_matches_naive_at_small_bound(bound):
+    # bound 1 leaves the d range empty: both searches return nothing
     assert set(search_cable_tight_witnesses(bound)) == naive_search(bound)
 
 
 def test_search_rejects_bad_domains():
-    for s, t, p, q, d, eps, delta in search_cable_tight_witnesses(10):
+    # the search emits hits without a rational re-check; this ties it to
+    # the Fraction criterion
+    for h in search_cable_tight_witnesses(10):
+        s, t, p, q, d, eps, delta = h
         assert d > 1 and math.gcd(t, d) > 1
+        assert cable_tight_criterion(*h).satisfied
