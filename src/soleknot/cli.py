@@ -185,13 +185,14 @@ def _cmd_verify(args) -> int:
     budget = args.budget
     if budget is None:
         env = os.environ.get("SOLEKNOT_BUDGET")
-        budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
-    if args.corpus == "default":
-        suites = verify_mod.default_suites(seed=args.seed, budget=budget)
-    elif args.corpus == "full":
-        suites = verify_mod.full_suites(seed=args.seed, budget=budget)
-    elif args.corpus == "negative-control":
+        try:
+            budget = int(env) if env else DEFAULT_ENUMERATION_BUDGET
+        except ValueError:
+            raise _UsageError(f"SOLEKNOT_BUDGET must be an integer, got {env!r}") from None
+    if args.corpus == "negative-control":
         suites = [verify_mod.Suite("negative-control", verify_mod.negative_control_suite)]
+    elif args.corpus in verify_mod.SCALES:
+        suites = verify_mod.suites(args.corpus, args.seed, budget)
     else:
         raise _UsageError(f"unknown corpus {args.corpus!r}")
     results = []

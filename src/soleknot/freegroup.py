@@ -35,6 +35,7 @@ __all__ = [
     "identity_endo",
     "cyclic_decompose",
     "exponent_sum",
+    "exponent_sums",
     "fits_rank",
     "parse_word",
     "word_text",
@@ -325,6 +326,27 @@ def exponent_sum(w: Word, generator: int | None = None) -> int:
     if generator > MAX_RANK:
         return 0
     return s.count(chr(generator)) - s.count(chr(255 - generator))
+
+
+def exponent_sums(w: Word, rank: int) -> list[int]:
+    """Signed letter counts of x_1..x_rank, counting each distinct letter
+    of the word once rather than scanning the word once per generator.
+
+    >>> exponent_sums(Word([1, 2, -1, 2]), 3)
+    [0, 2, 0]
+    """
+    s = w._s
+    out = [0] * rank
+    try:
+        for c in set(s):
+            j = ord(c)
+            if j <= MAX_RANK:
+                out[j - 1] += s.count(c)
+            else:
+                out[254 - j] -= s.count(c)
+    except IndexError:
+        raise IndexOutOfRank(f"word uses a generator above rank {rank}") from None
+    return out
 
 
 @dataclass(frozen=True)

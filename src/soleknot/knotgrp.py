@@ -22,7 +22,7 @@ from .errors import (
     NotInfiniteCyclic,
     NotKnotLike,
 )
-from .freegroup import FreeEndo, Word, apply_endo, cyclic_decompose, exponent_sum, fits_rank
+from .freegroup import FreeEndo, Word, apply_endo, cyclic_decompose, exponent_sum, exponent_sums, fits_rank
 from .laurent import LaurentPoly, poly_determinant
 from .presentations import PeripheralPair, Presentation
 from .snf import diagonal, smith_normal_form
@@ -60,7 +60,7 @@ def sphere_closure_presentation(beta: Braid) -> Presentation:
 
 def exponent_matrix(p: Presentation) -> list[list[int]]:
     """Relator-by-generator exponent sums (the abelianized relator matrix)."""
-    return [[exponent_sum(r, j) for j in range(1, p.rank + 1)] for r in p.relators]
+    return [exponent_sums(r, p.rank) for r in p.relators]
 
 
 def abelianize(p: Presentation) -> dict:
@@ -110,7 +110,7 @@ def h1_class(p: Presentation, w: Word) -> int:
         raise InvalidPresentation("word addresses a missing generator")
 
     def cls(word: Word) -> int:
-        return sum(vec[j - 1] * exponent_sum(word, j) for j in range(1, p.rank + 1))
+        return sum(v * e for v, e in zip(vec, exponent_sums(word, p.rank)))
 
     mu = cls(p.peripheral.meridian)
     if mu not in (1, -1):
@@ -167,25 +167,6 @@ def alexander_polynomial(p: Presentation) -> LaurentPoly:
     return poly_determinant(minor).canonical()
 
 
-def _substitute(p_rank: int, words: list[Word], images: dict[int, Word]) -> list[Word]:
-    table = tuple(images.get(i, Word([i])) for i in range(1, p_rank + 1))
-    endo = FreeEndo(p_rank, table)
-    return [apply_endo(endo, w) for w in words]
-
-
-def _drop_generator(rank: int, words: list[Word], gen: int) -> list[Word]:
-    remap = {}
-    new = 0
-    for i in range(1, rank + 1):
-        if i != gen:
-            new += 1
-            remap[i] = new
-    out = []
-    for w in words:
-        out.append(Word([remap[abs(k)] * (1 if k > 0 else -1) for k in w]))
-    return out
-
-
 def tietze_simplify(p: Presentation) -> Presentation:
     """Sound simplification: drop empty and duplicate relators, cyclically
     reduce, and eliminate generators defined by a relator in which they
@@ -236,13 +217,14 @@ def tietze_simplify(p: Presentation) -> Presentation:
             letters = list(r)
             pos = next(i for i, k in enumerate(letters) if abs(k) == target)
             rot = letters[pos:] + letters[:pos]  # starts with target^eps
-            rest = Word(rot[1:])
-            replacement = ~rest if rot[0] > 0 else rest
+            # one endo sends x_target to its replacement and every later
+            # generator one index down, so the words land in the smaller rank
+            images = [Word([i - (i > target)]) for i in range(1, len(gens) + 1)]
+            rest = apply_endo(FreeEndo(len(gens), tuple(images)), Word(rot[1:]))
+            images[target - 1] = ~rest if rot[0] > 0 else rest
+            endo = FreeEndo(len(gens), tuple(images))
             others = [x for oi, x in enumerate(relators) if oi != ri]
-            substituted = _substitute(
-                len(gens), others + peripheral, {target: replacement}
-            )
-            substituted = _drop_generator(len(gens), substituted, target)
+            substituted = [apply_endo(endo, w) for w in others + peripheral]
             relators = substituted[: len(others)]
             peripheral = substituted[len(others):]
             del gens[target - 1]

@@ -127,9 +127,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _factor(n: int, bound: int) -> dict[int, int]:
-    if n > bound:
-        raise EntryTooLarge(f"entry {n} exceeds factorization bound {bound}")
+def _factor(n: int) -> dict[int, int]:
+    if n > DEFAULT_FACTOR_BOUND:
+        raise EntryTooLarge(f"entry {n} exceeds factorization bound {DEFAULT_FACTOR_BOUND}")
     out: dict[int, int] = {}
     m = n
     p = 2
@@ -155,7 +155,7 @@ def validate_sequence(seq: WindingSeq) -> list[Violation]:
     return out
 
 
-def profile(seq: WindingSeq, bound: int = DEFAULT_FACTOR_BOUND) -> PrimeProfile:
+def profile(seq: WindingSeq) -> PrimeProfile:
     """Supernatural number of the sequence: a prime has infinite exponent
     iff it divides some period entry; otherwise its exponent is its total
     multiplicity across the preperiod."""
@@ -164,19 +164,19 @@ def profile(seq: WindingSeq, bound: int = DEFAULT_FACTOR_BOUND) -> PrimeProfile:
         raise EntryTooSmall("; ".join(str(v) for v in violations))
     infinite: set[int] = set()
     for n in seq.period:
-        infinite.update(_factor(n, bound))
+        infinite.update(_factor(n))
     finite: dict[int, int] = {}
     for n in seq.preperiod:
-        for p, e in _factor(n, bound).items():
+        for p, e in _factor(n).items():
             if p not in infinite:
                 finite[p] = finite.get(p, 0) + e
     return PrimeProfile(tuple(sorted(finite.items())), frozenset(infinite))
 
 
-def solenoids_equivalent(a: WindingSeq, b: WindingSeq, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def solenoids_equivalent(a: WindingSeq, b: WindingSeq) -> bool:
     """Homeomorphism test for the two inverse limits (see module docs for
     why this reduces to equality of the infinite prime sets)."""
-    return profile(a, bound).infinite == profile(b, bound).infinite
+    return profile(a).infinite == profile(b).infinite
 
 
 def parse_winding_seq(text: str) -> WindingSeq:

@@ -1,19 +1,20 @@
 """Verification corpora and property suites.
 
 Each suite returns a list of violation strings (empty means the property
-held everywhere).  The CLI ``verify`` subcommand and the acceptance test
-module both drive these functions; parameters are explicit so the
-acceptance scale is pinned in one place, the tests.
+held everywhere).  :data:`SCALES` is the one place that sets how large the
+suites run: its ``"default"`` row is the CLI's moderate ``verify`` scale and
+its ``"full"`` row is the acceptance scale, which ``verify --corpus full``
+and the acceptance tests both build through :func:`suites`.
 
 Corpus notes.  The deterministic corpus is every knot-closure braid in B2
-and B3 of word length at most 5, enumerated completely (it includes the
-alternating-sign braids whose automorphisms grow fastest; those are kept).
-The random corpus is seeded and rejects, besides non-knot closures, braids
-whose iterated action would exceed a hard word-length cap: without the cap
-a single random sample can demand reduced words beyond 10^{12} letters
-(growth rates of free-group automorphisms are exponential in the power),
-which no exact check can materialize at desk scale.  The cap is part of
-the corpus definition (:data:`GROWTH_CAP`).
+and B3 of word length at most ``max_len``, enumerated completely (it
+includes the alternating-sign braids whose automorphisms grow fastest;
+those are kept).  The random corpus is seeded and rejects, besides non-knot
+closures, braids whose iterated action would exceed a hard word-length cap:
+without the cap a single random sample can demand reduced words beyond
+10^{12} letters (growth rates of free-group automorphisms are exponential
+in the power), which no exact check can materialize at desk scale.  The cap
+is part of the corpus definition (:data:`GROWTH_CAP`).
 """
 
 from __future__ import annotations
@@ -62,15 +63,16 @@ __all__ = [
     "solenoid_suite",
     "negative_control_suite",
     "cyclically_equal",
+    "Scale",
+    "SCALES",
     "Suite",
-    "default_suites",
-    "full_suites",
+    "suites",
 ]
 
 GROWTH_CAP = 1 << 22  # letters; random-corpus feasibility bound for beta^(3n)(x1)
 
 
-def det_knot_corpus(max_len: int = 5) -> list[Braid]:
+def det_knot_corpus(max_len: int) -> list[Braid]:
     """All knot-closure braids in B2 and B3 with word length <= max_len."""
     out: list[Braid] = []
     for n in (2, 3):
@@ -83,31 +85,25 @@ def det_knot_corpus(max_len: int = 5) -> list[Braid]:
     return out
 
 
-def _growth_feasible(b: Braid, power: int, cap: int) -> bool:
+def _growth_feasible(b: Braid) -> bool:
     w = Word([1])
     e = artin_endo(b)
-    for _ in range(power):
+    for _ in range(3 * b.strands):
         w = apply_endo(e, w)
-        if len(w) > cap:
+        if len(w) > GROWTH_CAP:
             return False
     return True
 
 
-def random_knot_corpus(
-    count: int,
-    seed: int,
-    ranks: tuple[int, ...] = (2, 3, 4),
-    max_len: int = 8,
-    growth_cap: int = GROWTH_CAP,
-    max_power_factor: int = 3,
-) -> list[Braid]:
-    """Seeded random knot-closure braids, rejection-sampled for knot
-    closures and for desk-scale growth of beta^(max_power_factor * n)."""
+def random_knot_corpus(count: int, seed: int) -> list[Braid]:
+    """Seeded random knot-closure braids in B2-B4 of word length 1-8,
+    rejection-sampled for knot closures and for beta^(3n)(x1) staying
+    within :data:`GROWTH_CAP` letters."""
     rng = random.Random(seed)
     out: list[Braid] = []
     while len(out) < count:
-        n = rng.choice(ranks)
-        length = rng.randint(1, max_len)
+        n = rng.choice((2, 3, 4))
+        length = rng.randint(1, 8)
         word = []
         for _ in range(length):
             i = rng.randint(1, n - 1)
@@ -115,13 +111,13 @@ def random_knot_corpus(
         b = Braid(n, tuple(word))
         if not closure_info(b).is_knot:
             continue
-        if not _growth_feasible(b, max_power_factor * n, growth_cap):
+        if not _growth_feasible(b):
             continue
         out.append(b)
     return out
 
 
-def braid_relation_suite(max_strands: int = 6, instances: int = 500, seed: int = 0) -> list[str]:
+def braid_relation_suite(max_strands: int, instances: int, seed: int) -> list[str]:
     """Artin relations and product invariance, exactly.
 
     Checks every adjacent/commuting generator pair for each strand count,
@@ -160,7 +156,7 @@ def braid_relation_suite(max_strands: int = 6, instances: int = 500, seed: int =
     return bad
 
 
-def centralizer_suite(braids: Iterable[Braid], k_range: Iterable[int] = range(-3, 4)) -> list[str]:
+def centralizer_suite(braids: Iterable[Braid], k_range: Iterable[int]) -> list[str]:
     """Conjugator round trip, commuting generators, and the power identity."""
     bad: list[str] = []
     x1 = Word([1])
@@ -194,17 +190,12 @@ def _in_predicted_centralizer(b: Braid, el: TorusElement) -> bool:
     return all(abs(x) == 1 for x in rest)
 
 
-def uniqueness_suite(
-    braids: Iterable[Braid],
-    max_texp: Callable[[Braid], int] = lambda b: 2 * b.strands,
-    max_len: int = 6,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> list[str]:
-    """Exhaustive centralizer enumeration stays inside the predicted
-    (t^n w)^k x1^l family."""
+def uniqueness_suite(braids: Iterable[Braid], max_len: int, budget: int) -> list[str]:
+    """Exhaustive centralizer enumeration with |m| <= 2n stays inside the
+    predicted (t^n w)^k x1^l family."""
     bad: list[str] = []
     for b in braids:
-        found = centralizer_enumeration_oracle(b, max_texp(b), max_len, budget=budget)
+        found = centralizer_enumeration_oracle(b, 2 * b.strands, max_len, budget=budget)
         for el in found:
             if not _in_predicted_centralizer(b, el):
                 bad.append(f"unexpected centralizer element {el} for {b}")
@@ -219,7 +210,7 @@ def torus_knot_polynomial(k: int) -> LaurentPoly:
     return LaurentPoly({i: (-1) ** i for i in range(2 * k + 1)})
 
 
-def closure_presentation_suite(max_k: int = 4) -> list[str]:
+def closure_presentation_suite(max_k: int) -> list[str]:
     """Sphere-closure presentations of sigma_1^(2k+1): braid relation for
     the trefoil, Z for the unknot, torus-knot polynomials in general."""
     bad: list[str] = []
@@ -264,22 +255,14 @@ def cyclically_equal(a: Word, b: Word) -> bool:
     return False
 
 
-def satellite_suite(
-    patterns: list[Braid] | None = None, depth: int = 3, seed_braid: Braid | None = None
-) -> list[str]:
-    """Homology and Alexander oracles along a filtration: H1 = Z at every
-    stage, longitude class 0, meridian transition = winding, and the exact
-    satellite product identity for the Alexander polynomials."""
+def satellite_suite(depth: int) -> list[str]:
+    """Homology and Alexander oracles along a filtration over the trefoil:
+    H1 = Z at every stage, longitude class 0, meridian transition =
+    winding, and the exact satellite product identity for the Alexander
+    polynomials."""
     bad: list[str] = []
-    if seed_braid is None:
-        seed_braid = Braid(2, (1, 1, 1))
-    if patterns is None:
-        patterns = [
-            Braid(2, (1, 1, 1)),
-            Braid(3, (1, 2)),
-            Braid(3, (1, 2, 1, 2)),
-        ]
-    seed = sphere_closure_presentation(seed_braid)
+    patterns = [Braid(2, (1, 1, 1)), Braid(3, (1, 2)), Braid(3, (1, 2, 1, 2))]
+    seed = sphere_closure_presentation(Braid(2, (1, 1, 1)))
     stages = build_filtration(seed, patterns, depth, repeat=True)
     deltas = [alexander_polynomial(seed)]
     for k in range(1, len(stages)):
@@ -318,7 +301,7 @@ CABLE_WITNESSES = (
 )
 
 
-def cable_suite(bound: int = 30, sample_rejects: int = 200, seed: int = 0) -> list[str]:
+def cable_suite(bound: int, sample_rejects: int, seed: int) -> list[str]:
     """Bounded exhaustive witness search for the cable-embedding arithmetic,
     plus rejection checks for d = 1 and gcd(t, d) = 1.
 
@@ -370,7 +353,7 @@ def _random_seq(rng: random.Random) -> WindingSeq:
     return WindingSeq(pre, per)
 
 
-def solenoid_suite(pairs: int = 200, seed: int = 0) -> list[str]:
+def solenoid_suite(pairs: int, seed: int) -> list[str]:
     """Classification examples plus equivalence-relation axioms, finite-edit
     invariance and period rotation on seeded random sequences."""
     bad: list[str] = []
@@ -439,41 +422,51 @@ def negative_control_suite() -> list[str]:
 
 
 @dataclass(frozen=True)
+class Scale:
+    """How large each suite runs; one row of :data:`SCALES`."""
+
+    corpus_len: int  # det_knot_corpus word length (centralizer, uniqueness)
+    random_count: int  # random_knot_corpus size (centralizer)
+    max_strands: int  # braid relations
+    instances: int  # braid relations
+    k_range: range  # power identity exponents (centralizer)
+    enum_len: int  # enumeration word length (uniqueness)
+    max_k: int  # torus knots sigma_1^(2k+1) (closure presentations)
+    depth: int  # satellite filtration
+    cable_bound: int  # cable witness box
+    cable_rejects: int  # cable rejection samples
+    pairs: int  # solenoid pairs
+
+
+#: the suite scales; ``"full"`` is the acceptance scale
+SCALES = {
+    "default": Scale(4, 10, 5, 100, range(-2, 3), 4, 3, 2, 12, 50, 50),
+    "full": Scale(5, 100, 6, 500, range(-3, 4), 6, 4, 3, 30, 200, 200),
+}
+
+
+@dataclass(frozen=True)
 class Suite:
     name: str
     run: Callable[[], list[str]]
 
 
-def default_suites(seed: int = 0, budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[Suite]:
-    """Moderate-scale suites for the CLI; the acceptance tests pin the
-    full-scale parameters."""
-    det = det_knot_corpus(4)
-    rand = lambda: random_knot_corpus(10, seed)
+def suites(corpus: str, seed: int = 0, budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[Suite]:
+    """The seven property suites at the scale ``SCALES[corpus]``.
 
-    # uniqueness first: an infeasible --budget then fails fast
+    Uniqueness runs first, so an infeasible ``budget`` fails before the
+    other suites start."""
+    sc = SCALES[corpus]
+    det = det_knot_corpus(sc.corpus_len)
     return [
-        Suite("centralizer-uniqueness", lambda: uniqueness_suite(det, max_len=4, budget=budget)),
-        Suite("braid-relations", lambda: braid_relation_suite(5, 100, seed)),
-        Suite("centralizer", lambda: centralizer_suite(det + rand(), range(-2, 3))),
-        Suite("closure-presentations", lambda: closure_presentation_suite(3)),
-        Suite("satellite-filtration", lambda: satellite_suite(depth=2)),
-        Suite("cable-criterion", lambda: cable_suite(12, 50, seed)),
-        Suite("solenoid-classification", lambda: solenoid_suite(50, seed)),
-    ]
-
-
-def full_suites(seed: int = 0, budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[Suite]:
-    """Acceptance-scale suites (the tolerances of the acceptance criteria)."""
-    det5 = det_knot_corpus(5)
-    return [
-        Suite("braid-relations", lambda: braid_relation_suite(6, 500, seed)),
+        Suite("centralizer-uniqueness", lambda: uniqueness_suite(det, sc.enum_len, budget)),
+        Suite("braid-relations", lambda: braid_relation_suite(sc.max_strands, sc.instances, seed)),
         Suite(
             "centralizer",
-            lambda: centralizer_suite(det5 + random_knot_corpus(100, seed), range(-3, 4)),
+            lambda: centralizer_suite(det + random_knot_corpus(sc.random_count, seed), sc.k_range),
         ),
-        Suite("centralizer-uniqueness", lambda: uniqueness_suite(det5, max_len=6, budget=budget)),
-        Suite("closure-presentations", lambda: closure_presentation_suite(4)),
-        Suite("satellite-filtration", lambda: satellite_suite(depth=3)),
-        Suite("cable-criterion", lambda: cable_suite(30, 200, seed)),
-        Suite("solenoid-classification", lambda: solenoid_suite(200, seed)),
+        Suite("closure-presentations", lambda: closure_presentation_suite(sc.max_k)),
+        Suite("satellite-filtration", lambda: satellite_suite(sc.depth)),
+        Suite("cable-criterion", lambda: cable_suite(sc.cable_bound, sc.cable_rejects, seed)),
+        Suite("solenoid-classification", lambda: solenoid_suite(sc.pairs, seed)),
     ]

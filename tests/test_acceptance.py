@@ -20,23 +20,17 @@ pass line each.  Criteria and scales:
 8. CLI round trip and exit codes (delegated to tests/test_cli.py, summarized
    here over a fixture sample).
 
-All checks are exact; no tolerances are floating point.
+All checks are exact; no tolerances are floating point.  Criteria 1-7 run
+the suites of ``verify --corpus full``: the scales above are the ``"full"``
+row of ``soleknot.verify.SCALES``, which ``test_full_scale_is_acceptance_scale``
+pins.
 """
 
 import time
 
 from soleknot.cli import dispatch
-from soleknot.verify import (
-    braid_relation_suite,
-    cable_suite,
-    centralizer_suite,
-    closure_presentation_suite,
-    det_knot_corpus,
-    random_knot_corpus,
-    satellite_suite,
-    solenoid_suite,
-    uniqueness_suite,
-)
+from soleknot.torusgrp import DEFAULT_ENUMERATION_BUDGET
+from soleknot.verify import SCALES, Scale, det_knot_corpus, suites
 
 SEED = 20260809
 
@@ -48,50 +42,58 @@ def _report(criterion: int, label: str, violations: list[str], started: float) -
     assert not violations, violations[:5]
 
 
-def test_criterion_1_braid_relations():
+def _run_full(criterion: int, name: str, label: str) -> None:
     t0 = time.time()
-    violations = braid_relation_suite(max_strands=6, instances=500, seed=SEED)
-    _report(1, "braid relations and product invariance", violations, t0)
+    (suite,) = [s for s in suites("full", seed=SEED) if s.name == name]
+    _report(criterion, label, suite.run(), t0)
+
+
+def test_full_scale_is_acceptance_scale():
+    assert SCALES["full"] == Scale(
+        corpus_len=5,
+        random_count=100,
+        max_strands=6,
+        instances=500,
+        k_range=range(-3, 4),
+        enum_len=6,
+        max_k=4,
+        depth=3,
+        cable_bound=30,
+        cable_rejects=200,
+        pairs=200,
+    )
+    assert DEFAULT_ENUMERATION_BUDGET == 10**6  # criterion 3's candidate budget
+
+
+def test_criterion_1_braid_relations():
+    _run_full(1, "braid-relations", "braid relations and product invariance")
 
 
 def test_criterion_2_centralizer():
-    t0 = time.time()
-    corpus = det_knot_corpus(5) + random_knot_corpus(100, SEED)
-    violations = centralizer_suite(corpus, k_range=range(-3, 4))
-    _report(2, f"centralizer of x1 over {len(corpus)} braids", violations, t0)
+    full = SCALES["full"]
+    size = len(det_knot_corpus(full.corpus_len)) + full.random_count
+    _run_full(2, "centralizer", f"centralizer of x1 over {size} braids")
 
 
 def test_criterion_3_centralizer_uniqueness():
-    t0 = time.time()
-    corpus = det_knot_corpus(5)
-    violations = uniqueness_suite(
-        corpus, max_texp=lambda b: 2 * b.strands, max_len=6, budget=10**6
-    )
-    _report(3, f"bounded-enumeration uniqueness over {len(corpus)} braids", violations, t0)
+    size = len(det_knot_corpus(SCALES["full"].corpus_len))
+    _run_full(3, "centralizer-uniqueness", f"bounded-enumeration uniqueness over {size} braids")
 
 
 def test_criterion_4_closure_presentations():
-    t0 = time.time()
-    violations = closure_presentation_suite(max_k=4)
-    _report(4, "closure presentations and torus-knot polynomials", violations, t0)
+    _run_full(4, "closure-presentations", "closure presentations and torus-knot polynomials")
 
 
 def test_criterion_5_satellite_filtration():
-    t0 = time.time()
-    violations = satellite_suite(depth=3)
-    _report(5, "satellite filtration homology and Alexander identity", violations, t0)
+    _run_full(5, "satellite-filtration", "satellite filtration homology and Alexander identity")
 
 
 def test_criterion_6_cable_arithmetic():
-    t0 = time.time()
-    violations = cable_suite(bound=30, sample_rejects=200, seed=SEED)
-    _report(6, "cable tight-embedding arithmetic", violations, t0)
+    _run_full(6, "cable-criterion", "cable tight-embedding arithmetic")
 
 
 def test_criterion_7_solenoid_classification():
-    t0 = time.time()
-    violations = solenoid_suite(pairs=200, seed=SEED)
-    _report(7, "solenoid classification", violations, t0)
+    _run_full(7, "solenoid-classification", "solenoid classification")
 
 
 def test_criterion_8_cli_contract(capsys, tmp_path):

@@ -193,11 +193,35 @@ def test_filtration_depth_exceeds_patterns(capsys):
     assert code == 1 and "depth" in err
 
 
-def test_verify_budget_exceeded_is_input_error(capsys):
-    code, _, err = run(capsys, "verify", "--corpus", "default", "--budget", "1")
+@pytest.mark.parametrize("corpus", ["default", "full"])
+def test_verify_budget_exceeded_is_input_error(capsys, corpus):
+    code, _, err = run(capsys, "verify", "--corpus", corpus, "--budget", "1")
     # a unit budget makes the enumeration infeasible: config error, not a
-    # property violation
+    # property violation; uniqueness runs first, so this fails fast
     assert code == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("corpus", ["default", "negative-control"])
+def test_verify_malformed_budget_env_is_usage_error(capsys, monkeypatch, corpus):
+    monkeypatch.setenv("SOLEKNOT_BUDGET", "abc")
+    code, out, err = run(capsys, "verify", "--corpus", corpus)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "SOLEKNOT_BUDGET" in err
+
+
+def test_verify_default_exact_stdout(capsys):
+    code, out, err = run(capsys, "verify", "--corpus", "default", "--seed", "0")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "ok braid-relations",
+        "ok cable-criterion",
+        "ok centralizer",
+        "ok centralizer-uniqueness",
+        "ok closure-presentations",
+        "ok satellite-filtration",
+        "ok solenoid-classification",
+        "7 suites: 7 ok, 0 failed",
+    ]
 
 
 def test_no_panics_on_fuzzed_argv(capsys):

@@ -12,6 +12,7 @@ from soleknot.freegroup import (
     compose,
     cyclic_decompose,
     exponent_sum,
+    exponent_sums,
     fits_rank,
     identity_endo,
     invert,
@@ -102,6 +103,16 @@ def test_exponent_sum_examples():
 @settings(derandomize=True)
 def test_exponent_sum_additive(a, b, g):
     assert exponent_sum(a * b, g) == exponent_sum(a, g) + exponent_sum(b, g)
+
+
+@given(words, st.integers(min_value=0, max_value=MAX_RANK + 2))
+@settings(derandomize=True)
+def test_exponent_sums_match_per_generator_counts(w, rank):
+    if fits_rank(w, rank):
+        assert exponent_sums(w, rank) == [exponent_sum(w, j) for j in range(1, rank + 1)]
+    else:
+        with pytest.raises(IndexOutOfRank):
+            exponent_sums(w, rank)
 
 
 def sigma1(n=2):

@@ -113,6 +113,16 @@ def test_tietze_examples():
     assert fixed.relators == trefoil.relators
     dup = Presentation(("a", "b"), (Word([1, 2, 1, 2]), Word([1, 2, 1, 2])))
     assert len(tietze_simplify(dup).relators) == 1
+    # c = b a^-1 turns the second relator into a b^-1, which then gives
+    # b = a; the peripheral words follow both substitutions and renamings
+    chain = Presentation(
+        ("a", "b", "c"),
+        (Word([3, 1, -2]), Word([1, 3, 1, -2, -2])),
+        PeripheralPair(Word([3]), Word([1, 2])),
+    )
+    out = tietze_simplify(chain)
+    assert out.gens == ("a",) and not out.relators
+    assert out.peripheral == PeripheralPair(Word(), Word([1, 1]))
 
 
 def test_tietze_preserves_invariants():
