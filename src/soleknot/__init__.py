@@ -44,7 +44,6 @@ from .freegroup import (
     Word,
     apply_endo,
     compose,
-    conjugate,
     cyclic_decompose,
     exponent_sum,
     identity_endo,

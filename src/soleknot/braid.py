@@ -104,9 +104,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def is_n_cycle(self) -> bool:
-        return len(self.cycles()) == 1
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))

@@ -29,7 +29,6 @@ __all__ = [
     "reduce",
     "multiply",
     "invert",
-    "conjugate",
     "apply_endo",
     "compose",
     "identity_endo",
@@ -267,11 +266,6 @@ def invert(a: Word) -> Word:
     return ~a
 
 
-def conjugate(w: Word, g: Word) -> Word:
-    """g * w * g^-1 (conjugation convention used everywhere here)."""
-    return g * w * ~g
-
-
 def cyclic_decompose(w: Word) -> tuple[Word, Word]:
     """Split w = prefix * core * prefix^-1 with core cyclically reduced.
 
@@ -306,26 +300,19 @@ def _check_rank(w: Word, rank: int) -> None:
         raise IndexOutOfRank(f"word uses a generator above rank {rank}")
 
 
-def exponent_sum(w: Word, generator: int | None = None) -> int:
-    """Signed letter count of one generator, or of the whole word.
+def exponent_sum(w: Word) -> int:
+    """Signed letter count of the whole word.
 
-    >>> exponent_sum(Word([1, 2, -1]), 1)
-    0
+    >>> exponent_sum(Word([1, 2, -1]))
+    1
     >>> exponent_sum(Word([1, 2] * 3))
     6
     """
     s = w._s
-    if generator is None:
-        total = 0
-        for c in set(s):
-            o = ord(c)
-            total += s.count(c) if o <= MAX_RANK else -s.count(c)
-        return total
-    if generator < 1:
-        raise ValueError("generator index must be >= 1")
-    if generator > MAX_RANK:
-        return 0
-    return s.count(chr(generator)) - s.count(chr(255 - generator))
+    total = 0
+    for c in set(s):
+        total += s.count(c) if ord(c) <= MAX_RANK else -s.count(c)
+    return total
 
 
 def exponent_sums(w: Word, rank: int) -> list[int]:

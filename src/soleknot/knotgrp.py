@@ -14,11 +14,10 @@ torus-knot values and the satellite product identity against it.
 
 from __future__ import annotations
 
-from .braid import Braid, artin_endo, closure_info
+from .braid import Braid, artin_endo
 from .errors import (
     InvalidPresentation,
     MissingPeripheral,
-    NotAKnot,
     NotInfiniteCyclic,
     NotKnotLike,
 )
@@ -43,14 +42,11 @@ __all__ = [
 def sphere_closure_presentation(beta: Braid) -> Presentation:
     """Knot group of the braid closure in the 3-sphere, with peripheral
     meridian x_1 and 0-framed longitude w x_1^{-exponent_sum(w)}."""
-    info = closure_info(beta)
-    if not info.is_knot:
-        raise NotAKnot(f"closure has {info.components} components")
+    w = meridian_conjugator(beta)
     n = beta.strands
     e = artin_endo(beta)
     gens = tuple(f"x{i}" for i in range(1, n + 1))
     relators = tuple(Word([-i]) * e.images[i - 1] for i in range(1, n))
-    w = meridian_conjugator(beta)
     longitude = w * Word([-1]) ** exponent_sum(w)
     p = Presentation(gens, relators, PeripheralPair(Word([1]), longitude))
     if h1_class(p, longitude) != 0:

@@ -47,10 +47,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls._raw({0: 1})
 
-    @classmethod
-    def t_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
-        return cls({e: coeff})
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -58,9 +58,6 @@ class FiltrationStage:
     presentation: Presentation
     inclusion: tuple[tuple[str, str], ...]
 
-    def inclusion_map(self) -> dict[str, str]:
-        return dict(self.inclusion)
-
 
 def _fresh_suffix(gens: Iterable[str]) -> int:
     best = 0

@@ -24,7 +24,6 @@ identity tail leaves nothing after the bar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .braid import Braid, artin_endo, closure_info
 from .errors import (
@@ -150,7 +149,6 @@ def meridian_conjugator(beta: Braid) -> Word:
 def centralizer_generators(beta: Braid) -> tuple[TorusElement, TorusElement]:
     """Generating pair (t^n w, x_1) of the centralizer of x_1; the two
     elements commute in exact normal-form arithmetic."""
-    _require_knot(beta)
     return (
         TorusElement(beta.strands, meridian_conjugator(beta)),
         TorusElement(0, Word([1])),
@@ -182,26 +180,6 @@ def power_identity_check(beta: Braid, k: int, k_cap: int = 8) -> bool:
     return rhs.texp == 0 and rhs.tail == lhs
 
 
-def _reduced_words(rank: int, max_len: int) -> Iterator[Word]:
-    """All freely reduced words of length <= max_len, shortest first."""
-    yield Word()
-    alphabet = [chr(k) for k in range(1, rank + 1)]
-    alphabet += [chr(255 - k) for k in range(1, rank + 1)]
-    inv = {c: chr(255 - ord(c)) for c in alphabet}
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for s in frontier:
-            last = s[-1] if s else None
-            for c in alphabet:
-                if last is not None and inv[c] == last:
-                    continue
-                nxt.append(s + c)
-        for s in nxt:
-            yield Word._raw(s)
-        frontier = nxt
-
-
 def enumeration_size(rank: int, max_texp: int, max_len: int) -> int:
     words = 1
     if max_len >= 1:
@@ -227,13 +205,16 @@ def centralizer_enumeration_oracle(
 
         beta^m(x_1) = z x_1 z^-1.
 
-    So the search is a join over the whole (m, z) box: the images
-    u = beta^m(x_1) go into a dict keyed by u, each reduced word z with
-    |z| <= max_len is streamed once, and z x_1 z^-1 is looked up.  That
-    costs two word products per z instead of two per (m, z) pair.  The
-    only pruning is a length bound that follows from free reduction
-    alone: |z x_1 z^-1| <= 2 |z| + 1, so an image longer than
-    2 max_len + 1 can never match and is left out of the dict.
+    The images u = beta^m(x_1) go into a dict keyed by u, and each
+    candidate z is tested once by looking z x_1 z^-1 up.  Free reduction
+    alone narrows the candidates.  Write a solution as z = p x_1^l with p
+    not ending in x_1 or X_1.  Then z x_1 z^-1 = p x_1 p^-1, which is
+    reduced as written, so p is a prefix of u and |u| = 2 |p| + 1.  An
+    image longer than 2 max_len + 1 therefore never matches and is left
+    out of the dict.  The candidates are p x_1^l for every prefix p of a
+    key u with |p| <= |u| // 2 that does not end in x_1^(+-1), and every
+    l with |p| + |l| <= max_len.  They hold every solution, each written
+    once.
 
     This enumeration is the independent oracle for the centralizer shape.
     It never consults :func:`meridian_conjugator` or the cyclic
@@ -251,11 +232,21 @@ def centralizer_enumeration_oracle(
         u = apply_power(beta, m, x1)
         if len(u) <= 2 * max_len + 1:
             texps_by_image.setdefault(u, []).append(m)
+    x1_ends = (x1._s, (~x1)._s)
+    prefixes = {
+        u._s[:k]
+        for u in texps_by_image
+        for k in range(len(u) // 2 + 1)
+        if k == 0 or u._s[k - 1] not in x1_ends
+    }
     found: list[TorusElement] = []
-    for z in _reduced_words(beta.strands, max_len):
-        texps = texps_by_image.get(z * x1 * ~z)
-        if texps is not None:
-            found.extend(TorusElement(m, z) for m in texps)
+    for p in prefixes:
+        room = max_len - len(p)
+        for l in range(-room, room + 1):
+            z = Word._raw(p) * x1**l
+            texps = texps_by_image.get(z * x1 * ~z)
+            if texps is not None:
+                found.extend(TorusElement(m, z) for m in texps)
     found.sort(key=lambda el: (el.texp, len(el.tail), el.tail._s))
     return found
 

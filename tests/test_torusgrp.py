@@ -19,7 +19,7 @@ from soleknot.freegroup import Word, apply_endo, word_text
 from soleknot.braid import artin_endo
 from soleknot.presentations import PeripheralPair, Presentation, presentation_text
 from soleknot import torusgrp
-from soleknot.verify import det_knot_corpus
+from soleknot.verify import det_knot_corpus, random_knot_corpus
 from soleknot.torusgrp import (
     TorusElement,
     apply_power,
@@ -287,6 +287,19 @@ def test_enumeration_matches_naive_len6_sample():
         assert centralizer_enumeration_oracle(b, 2 * b.strands, 6) == naive_enumeration(
             b, 2 * b.strands, 6
         ), b
+
+
+def test_enumeration_matches_naive_rank4_other_texps():
+    # growth-capped through 3n by the corpus; uncapped B5 images at 3n
+    # outgrow memory
+    braids = [b for b in random_knot_corpus(40, 6) if b.strands == 4]
+    assert len(braids) == 5
+    for b in braids:
+        n = b.strands
+        for max_texp in (0, 1, n, 2 * n, 3 * n):
+            assert centralizer_enumeration_oracle(b, max_texp, 3) == naive_enumeration(
+                b, max_texp, 3
+            ), (b, max_texp)
 
 
 def test_enumeration_budget_checked_before_any_work(monkeypatch):
