@@ -47,10 +47,7 @@ from .freegroup import (
     cyclic_decompose,
     exponent_sum,
     identity_endo,
-    invert,
-    multiply,
     parse_word,
-    reduce,
     word_text,
 )
 from .knotgrp import (
@@ -78,17 +75,15 @@ from .satellite import (
     satellite_presentation,
     search_cable_tight_witnesses,
 )
-from .snf import integer_determinant, smith_normal_form
+from .snf import smith_normal_form
 from .solenoid import (
     PrimeProfile,
-    Violation,
     WindingSeq,
     parse_profile,
     parse_winding_seq,
     profile,
     profile_text,
     solenoids_equivalent,
-    validate_sequence,
     winding_seq_text,
 )
 from .torusgrp import (

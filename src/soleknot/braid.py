@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import ParseError, StrandsOutOfRange
-from .freegroup import FreeEndo, Word, compose, cyclic_decompose, identity_endo
+from .freegroup import FreeEndo, Word, compose, identity_endo
 
 __all__ = [
     "Braid",
@@ -69,11 +69,7 @@ class Braid:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection of {1, ..., n}; ``mapping[i-1]`` is the image of i.
-
-    ``compose(p, q)`` follows the same left-to-right order as braid and
-    endomorphism composition: first p, then q.
-    """
+    """Bijection of {1, ..., n}; ``mapping[i-1]`` is the image of i."""
 
     mapping: tuple[int, ...]
 
@@ -84,9 +80,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.mapping[i - 1]
-
-    def compose(self, then: "Permutation") -> "Permutation":
-        return Permutation(tuple(then.mapping[v - 1] for v in self.mapping))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen: set[int] = set()
@@ -103,10 +96,6 @@ class Permutation:
                 j = self(j)
             out.append(tuple(cyc))
         return out
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(1, n + 1)))
 
 
 @dataclass(frozen=True)
@@ -189,19 +178,6 @@ def induced_permutation(b: Braid) -> Permutation:
             elif v == i + 1:
                 mapping[idx] = i
     return Permutation(tuple(mapping))
-
-
-def permutation_from_cores(b: Braid) -> Permutation:
-    """Independent route to the strand permutation, via endomorphism cores."""
-    e = artin_endo(b)
-    images = []
-    for img in e.images:
-        _, core = cyclic_decompose(img)
-        letters = core.letters
-        if len(letters) != 1 or letters[0] < 0:
-            raise ValueError(f"image core is not a positive generator: {core}")
-        images.append(letters[0])
-    return Permutation(tuple(images))
 
 
 def closure_info(b: Braid) -> ClosureInfo:

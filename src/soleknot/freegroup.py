@@ -26,9 +26,6 @@ __all__ = [
     "MAX_RANK",
     "Word",
     "FreeEndo",
-    "reduce",
-    "multiply",
-    "invert",
     "apply_endo",
     "compose",
     "identity_endo",
@@ -249,21 +246,6 @@ class Word:
 
     def __str__(self) -> str:
         return word_text(self)
-
-
-def reduce(raw: Iterable[int]) -> Word:
-    """Freely reduce a raw letter sequence.  Idempotent."""
-    return Word(raw)
-
-
-def multiply(a: Word, b: Word) -> Word:
-    """Reduced product a*b.  The empty word is the identity."""
-    return a * b
-
-
-def invert(a: Word) -> Word:
-    """Group inverse: reversed sequence with flipped signs."""
-    return ~a
 
 
 def cyclic_decompose(w: Word) -> tuple[Word, Word]:

@@ -21,17 +21,8 @@ __all__ = ["LaurentPoly", "parse_poly", "poly_text"]
 class LaurentPoly:
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: dict[int, int] | list[tuple[int, int]] | int = ()):
-        if isinstance(coeffs, int):
-            coeffs = {0: coeffs}
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        c: dict[int, int] = {}
-        for e, v in items:
-            if v:
-                c[e] = c.get(e, 0) + v
-                if not c[e]:
-                    del c[e]
-        self._c = c
+    def __init__(self, coeffs: dict[int, int]):
+        self._c = {e: v for e, v in coeffs.items() if v}
 
     @classmethod
     def _raw(cls, c: dict[int, int]) -> "LaurentPoly":

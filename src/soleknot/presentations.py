@@ -17,7 +17,6 @@ may separate lines with ``;`` instead of newlines.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InvalidPresentation, ParseError
@@ -79,9 +78,6 @@ class Presentation:
     @property
     def rank(self) -> int:
         return len(self.gens)
-
-    def deficiency(self) -> int:
-        return len(self.gens) - len(self.relators)
 
 
 def word_tokens(p: Presentation, w: Word) -> str:
@@ -165,9 +161,7 @@ def presentation_structured(p: Presentation) -> dict:
     return doc
 
 
-def presentation_from_structured(doc: dict | str) -> Presentation:
-    if isinstance(doc, str):
-        doc = json.loads(doc)
+def presentation_from_structured(doc: dict) -> Presentation:
     gens = tuple(doc["gens"])
     shell = Presentation(gens, ())
     relators = tuple(tokens_word(shell, r) for r in doc["relators"])

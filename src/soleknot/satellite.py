@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .braid import Braid, artin_endo, closure_info
+from .braid import Braid, artin_endo
 from .errors import (
     DepthExceedsPatterns,
     DomainError,
     InvalidPresentation,
     MissingPeripheral,
-    NotAKnot,
     WindingTooSmall,
 )
 from .freegroup import Word, exponent_sum
@@ -79,9 +78,7 @@ def satellite_presentation(companion: Presentation, beta: Braid) -> Presentation
         raise MissingPeripheral("companion presentation has no peripheral pair")
     if beta.strands < 2:
         raise WindingTooSmall(f"pattern winding {beta.strands} < 2")
-    info = closure_info(beta)
-    if not info.is_knot:
-        raise NotAKnot(f"pattern closure has {info.components} components")
+    w = meridian_conjugator(beta)  # raises NotAKnot for a link pattern
     if h1_class(companion, companion.peripheral.longitude) != 0:
         raise InvalidPresentation("companion longitude is not nullhomologous")
 
@@ -100,7 +97,6 @@ def satellite_presentation(companion: Presentation, beta: Braid) -> Presentation
     relators.append(~companion.peripheral.meridian * Word(range(m + 1, m + n + 1)))
     relators.append(~companion.peripheral.longitude * Word([t]))
 
-    w = meridian_conjugator(beta)
     s = exponent_sum(w)
     longitude = Word([t] * n) * _shift(w, m) * Word([-(m + 1)]) ** s
     result = Presentation(
@@ -122,7 +118,7 @@ def build_filtration(
     if seed.peripheral is None:
         raise MissingPeripheral("seed presentation has no peripheral pair")
     if depth < 0:
-        raise ValueError("depth must be >= 0")
+        raise DomainError("depth must be >= 0")
     if depth > len(patterns) and not repeat:
         raise DepthExceedsPatterns(
             f"depth {depth} exceeds {len(patterns)} patterns (repeat not set)"

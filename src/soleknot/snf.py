@@ -7,7 +7,7 @@ pivot-and-clear algorithm is plenty.
 
 from __future__ import annotations
 
-__all__ = ["smith_normal_form", "diagonal", "integer_determinant"]
+__all__ = ["smith_normal_form", "diagonal"]
 
 Matrix = list[list[int]]
 
@@ -102,28 +102,3 @@ def smith_normal_form(mat: list[list[int]]) -> tuple[Matrix, Matrix, Matrix]:
 
 def diagonal(d: Matrix) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
-def integer_determinant(mat: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant; exact for any square int matrix."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -28,16 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EntryTooLarge, EntryTooSmall, InvalidProfile, ParseError
+from .errors import DomainError, EntryTooLarge, EntryTooSmall, InvalidProfile, ParseError
 
 __all__ = [
     "DEFAULT_FACTOR_BOUND",
     "WindingSeq",
     "PrimeProfile",
-    "Violation",
     "profile",
     "solenoids_equivalent",
-    "validate_sequence",
     "parse_winding_seq",
     "winding_seq_text",
     "profile_text",
@@ -50,10 +48,23 @@ DEFAULT_FACTOR_BOUND = 10**6
 @dataclass(frozen=True)
 class WindingSeq:
     """Eventually periodic winding sequence n_1, n_2, ...; the period block
-    repeats forever after the preperiod."""
+    repeats forever after the preperiod.  The period is nonempty and every
+    entry is at least 2."""
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.period:
+            raise DomainError("empty period: a winding sequence repeats at least one entry")
+        small = [
+            f"EntryTooSmall at {kind} {i}"
+            for kind, entries in (("preperiod", self.preperiod), ("period", self.period))
+            for i, n in enumerate(entries)
+            if n < 2
+        ]
+        if small:
+            raise EntryTooSmall("; ".join(small))
 
 
 @dataclass(frozen=True)
@@ -83,15 +94,6 @@ class PrimeProfile:
 
     def finite_map(self) -> dict[int, int]:
         return dict(self.finite)
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    where: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.code} at {self.where}" if self.where else self.code
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -143,25 +145,10 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-def validate_sequence(seq: WindingSeq) -> list[Violation]:
-    """Structural violations as data; an empty list means valid."""
-    out = []
-    if not seq.period:
-        out.append(Violation("EmptyPeriod"))
-    for kind, entries in (("preperiod", seq.preperiod), ("period", seq.period)):
-        for i, n in enumerate(entries):
-            if n < 2:
-                out.append(Violation("EntryTooSmall", f"{kind} {i}"))
-    return out
-
-
 def profile(seq: WindingSeq) -> PrimeProfile:
     """Supernatural number of the sequence: a prime has infinite exponent
     iff it divides some period entry; otherwise its exponent is its total
     multiplicity across the preperiod."""
-    violations = validate_sequence(seq)
-    if violations:
-        raise EntryTooSmall("; ".join(str(v) for v in violations))
     infinite: set[int] = set()
     for n in seq.period:
         infinite.update(_factor(n))

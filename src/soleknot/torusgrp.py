@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_BUDGET = 10**6
+# largest |k| that power_identity_check accepts; its word sizes grow
+# exponentially in k
+_POWER_CHECK_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -155,17 +158,16 @@ def centralizer_generators(beta: Braid) -> tuple[TorusElement, TorusElement]:
     )
 
 
-def power_identity_check(beta: Braid, k: int, k_cap: int = 8) -> bool:
+def power_identity_check(beta: Braid, k: int) -> bool:
     """Exact check that beta^{kn}(x_1) equals the tail of
 
         t^{-kn} (t^n w)^k  x_1  (t^n w)^{-k} t^{kn}
 
     computed in normal-form arithmetic.  True for every knot-closure braid;
     a False return means a convention bug somewhere and is reportable.
-    The word sizes grow exponentially in k, hence the configurable cap."""
-    _require_knot(beta)
-    if abs(k) > k_cap:
-        raise DomainError(f"|k| = {abs(k)} exceeds the configured cap {k_cap}")
+    The word sizes grow exponentially in k, hence the cap on |k|."""
+    if abs(k) > _POWER_CHECK_CAP:
+        raise DomainError(f"|k| = {abs(k)} exceeds the cap {_POWER_CHECK_CAP}")
     n = beta.strands
     w = meridian_conjugator(beta)
     lhs = apply_power(beta, k * n, Word([1]))

@@ -171,7 +171,7 @@ def test_help_exits_zero(capsys):
         ("abelianize", "rel: a"),                     # presentation ParseError
         ("abelianize", "gens: a;rel: b"),             # unknown token
         ("alexander", "gens: a b;rel: a a;rel: b b"), # NotKnotLike
-        ("classify", "pre: | per:", "pre: | per: 2"), # EmptyPeriod -> EntryTooSmall
+        ("classify", "pre: | per:", "pre: | per: 2"), # empty period: DomainError
         ("classify", "pre: | per: 1", "pre: | per: 2"),  # EntryTooSmall
         ("classify", "oops", "pre: | per: 2"),        # sequence ParseError
         ("closure", "@/no/such/file"),                # unreadable @file
@@ -179,12 +179,22 @@ def test_help_exits_zero(capsys):
         ("closure", "--format", "yaml", "2: s1"),     # bad flag value
         ("verify", "--corpus", "bogus"),              # unknown corpus
         ("filtration", "gens: a", "2: s1"),           # MissingPeripheral on seed
+        ("filtration", "gens: a;meridian: a;longitude:", "2: s1 s1 s1", "--depth", "-1"),
     ],
 )
 def test_error_paths_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
-    assert err.startswith("error:") or err.startswith("internal error:")
+    assert err.startswith("error:")
+
+
+def test_classify_bad_sequences(capsys):
+    code, out, err = run(capsys, "classify", "pre: | per:", "pre: | per: 2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: empty period")
+    code, out, err = run(capsys, "classify", "pre: | per: 1", "pre: | per: 2")
+    assert code == 1 and out == ""
+    assert err == "error: EntryTooSmall at period 0\n"
 
 
 def test_filtration_depth_exceeds_patterns(capsys):

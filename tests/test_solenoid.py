@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soleknot.errors import EntryTooLarge, EntryTooSmall, InvalidProfile, ParseError
+from soleknot.errors import DomainError, EntryTooLarge, EntryTooSmall, InvalidProfile, ParseError
 from soleknot.solenoid import (
     PrimeProfile,
     WindingSeq,
@@ -12,7 +12,6 @@ from soleknot.solenoid import (
     profile,
     profile_text,
     solenoids_equivalent,
-    validate_sequence,
     winding_seq_text,
 )
 
@@ -46,11 +45,17 @@ def test_equivalence_examples():
 
 
 def test_validate_examples():
-    assert [str(v) for v in validate_sequence(WindingSeq((), (1,)))] == [
-        "EntryTooSmall at period 0"
-    ]
-    assert validate_sequence(WindingSeq((2,), (3,))) == []
-    assert [v.code for v in validate_sequence(WindingSeq((), ()))] == ["EmptyPeriod"]
+    with pytest.raises(EntryTooSmall) as info:
+        WindingSeq((), (1,))
+    assert str(info.value) == "EntryTooSmall at period 0"
+    with pytest.raises(EntryTooSmall) as info:
+        WindingSeq((0,), (2, 1))
+    assert str(info.value) == "EntryTooSmall at preperiod 0; EntryTooSmall at period 1"
+    assert WindingSeq((2,), (3,)).period == (3,)
+    with pytest.raises(DomainError, match="empty period"):
+        WindingSeq((), ())
+    with pytest.raises(DomainError, match="empty period"):
+        WindingSeq((1,), ())
 
 
 @given(seqs, seqs, seqs)
