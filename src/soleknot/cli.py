@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 any input/parse/usage error (diagnostics on
 stderr), 2 when ``verify`` finds a property violation.  Arguments that
 name a value (braid, word, presentation, sequence) accept either the
 inline text or ``@path`` to read it from a file; inline presentations may
-use ``;`` as a line separator.
+use ``;`` as a line separator.  A presentation whose text starts with
+``{`` is read as the JSON that ``--format structured`` prints.
 
 The environment variable ``SOLEKNOT_BUDGET`` overrides the enumeration
 cap used by ``verify``; an explicit ``--budget`` flag wins over it.
@@ -19,12 +20,14 @@ import sys
 
 from . import verify as verify_mod
 from .braid import artin_endo, braid_text, closure_info, parse_braid
-from .errors import SoleknotError
+from .errors import ParseError, SoleknotError
 from .freegroup import apply_endo, parse_word, word_text
 from .knotgrp import abelianize, alexander_polynomial, sphere_closure_presentation
 from .laurent import poly_text
 from .presentations import (
+    Presentation,
     parse_presentation,
+    presentation_from_structured,
     presentation_structured,
     presentation_text,
 )
@@ -56,6 +59,17 @@ def _read_arg(value: str) -> str:
         with open(value[1:], "r", encoding="utf-8") as fh:
             return fh.read()
     return value
+
+
+def _read_presentation(value: str) -> Presentation:
+    text = _read_arg(value)
+    if not text.lstrip().startswith("{"):
+        return parse_presentation(text)
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad structured presentation: {exc}") from None
+    return presentation_from_structured(doc)
 
 
 def _emit(doc: dict, compact: str, fmt: str) -> None:
@@ -108,7 +122,7 @@ def _cmd_present(args) -> int:
 
 
 def _cmd_satellite(args) -> int:
-    companion = parse_presentation(_read_arg(args.companion))
+    companion = _read_presentation(args.companion)
     b = parse_braid(_read_arg(args.pattern))
     p = satellite_presentation(companion, b)
     _emit(presentation_structured(p), presentation_text(p), args.format)
@@ -116,7 +130,7 @@ def _cmd_satellite(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
-    seed = parse_presentation(_read_arg(args.seed))
+    seed = _read_presentation(args.seed)
     patterns = [parse_braid(_read_arg(p)) for p in args.patterns]
     stages = build_filtration(seed, patterns, args.depth, repeat=args.repeat)
     docs = [
@@ -143,7 +157,7 @@ def _cmd_filtration(args) -> int:
 
 
 def _cmd_abelianize(args) -> int:
-    p = parse_presentation(_read_arg(args.presentation))
+    p = _read_presentation(args.presentation)
     ab = abelianize(p)
     factors = " ".join(map(str, ab["invariant_factors"])) or "none"
     compact = f"free_rank={ab['free_rank']} invariant_factors={factors}"
@@ -152,7 +166,7 @@ def _cmd_abelianize(args) -> int:
 
 
 def _cmd_alexander(args) -> int:
-    p = parse_presentation(_read_arg(args.presentation))
+    p = _read_presentation(args.presentation)
     delta = alexander_polynomial(p)
     _emit({"polynomial": poly_text(delta)}, poly_text(delta), args.format)
     return 0

@@ -55,7 +55,6 @@ _SMALL_REDUCE = 512
 # (measured on the benchmark's power-ladder pools and the criterion-2
 # corpus), so a cap of 32 leaves them on the C-level path.
 _REDUCE_PASSES = 32
-_SEAM_LOOP = 128
 
 
 def _enc(letter: int) -> str:
@@ -113,67 +112,46 @@ def _reduce_str(s: str) -> str:
     return _stack_reduce(s)
 
 
-def _seam(a: str, b: str) -> int:
-    """Cancellation depth when concatenating reduced words a, b."""
-    m = min(len(a), len(b))
-    if m == 0:
-        return 0
-    # cheap probe first: most seams are shallow
-    k = 0
-    inv = _INV_CHAR
-    la = len(a)
-    probe = m if m <= _SEAM_LOOP else _SEAM_LOOP
-    while k < probe and a[la - 1 - k] == inv[b[k]]:
-        k += 1
-    if k < probe or k == m:
-        return k
-    # Deep seam: widen the window exponentially so the C-level work stays
-    # proportional to the actual cancellation depth, then pin the depth by
-    # binary search on slice equality inside the first failing window.
-    good = k
+def _common_suffix(a: str, b: str) -> int:
+    """Length of the longest common suffix of a and b.
+
+    This is the one cancellation primitive: the tail of a reduced word t
+    cancels against the head of a reduced word b exactly as far as t and
+    b^-1 share a suffix.  The window doubles while the suffixes agree, then
+    a binary search pins the length inside the first window that differs.
+    Each comparison covers only letters not yet known to agree, so a
+    common suffix of length k costs O(k) C-level work and O(log k) calls.
+    """
+    la, lb = len(a), len(b)
+    m = la if la < lb else lb
+    good, width = 0, 1
     while True:
-        width = min(4 * good, m)
-        ra = a[la - width:].encode("latin-1")
-        rb = b[:width].encode("latin-1").translate(_INV_BYTES)[::-1]
-        if ra == rb:
-            if width == m:
+        if width >= m:
+            width = m
+            if a[la - m : la - good] == b[lb - m : lb - good]:
                 return m
-            good = width
-            continue
-        lo, hi = good, width
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if ra[width - mid:] == rb[width - mid:]:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+            break
+        if a[la - width : la - good] != b[lb - width : lb - good]:
+            break
+        good, width = width, 2 * width
+    # a and b agree on their last `good` letters and differ within `width`
+    lo, hi = good, width - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[la - mid : la - lo] == b[lb - mid : lb - lo]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _seam_multiply(a: str, b: str) -> str:
-    k = _seam(a, b)
+    """The reduced product of reduced words a and b."""
+    if not a or not b or a[-1] != _INV_CHAR[b[0]]:
+        return a + b
+    # only the first len(a) letters of b can cancel
+    k = _common_suffix(a, _invert_str(b[: len(a)]))
     return a[: len(a) - k] + b[k:]
-
-
-def _fold_blocks(blocks: Iterable[str]) -> str:
-    """Reduce a concatenation of reduced blocks via seam cancellation."""
-    out: list[str] = []
-    for b in blocks:
-        while b and out:
-            t = out[-1]
-            k = _seam(t, b)
-            if k == 0:
-                break
-            if k == len(t):
-                out.pop()
-                b = b[k:]
-            else:
-                out[-1] = t[: len(t) - k]
-                b = b[k:]
-                break
-        if b:
-            out.append(b)
-    return "".join(out)
 
 
 class Word:
@@ -394,8 +372,31 @@ def apply_endo(e: FreeEndo, w: Word) -> Word:
         # Junction cascades are bounded by the image lengths, so the
         # replace loop stays shallow.
         return Word._raw(_reduce_str(s.translate(e._table)))
-    tbl = e._table
-    return Word._raw(_fold_blocks(tbl[ord(c)] for c in s))  # type: ignore[misc]
+    # Fold path: push each letter's image as a block.  The output blocks
+    # concatenate to a reduced word, so only the seam against the top block
+    # can cancel, and it cancels as far as the top block and the inverse
+    # image tbl[255 - c] share a suffix; a block that cancels whole is
+    # popped and the seam moves to the next one down.
+    tbl: list[str] = e._table  # type: ignore[assignment]
+    out: list[str] = []
+    push, pop = out.append, out.pop
+    for c in s.encode("latin-1"):
+        b = tbl[c]
+        binv = tbl[255 - c]
+        while out and b:
+            t = out[-1]
+            if t[-1] != binv[-1]:
+                break
+            k = _common_suffix(t, binv)
+            b = b[k:]
+            if k < len(t):
+                out[-1] = t[: len(t) - k]
+                break
+            pop()
+            binv = binv[: len(binv) - k]
+        if b:
+            push(b)
+    return Word._raw("".join(out))
 
 
 def compose(e1: FreeEndo, e2: FreeEndo) -> FreeEndo:

@@ -13,6 +13,10 @@ Text format (one item per line, bit-exact round trip):
 A relator token is a generator name (positive letter) or the name
 uppercased (inverse); names are single lowercase tokens.  Inline CLI input
 may separate lines with ``;`` instead of newlines.
+
+The structured form (:func:`presentation_structured`) is the JSON object
+``{"gens": [...], "relators": [...], "peripheral": null | {"meridian":
+..., "longitude": ...}}`` with each word in the same token syntax.
 """
 
 from __future__ import annotations
@@ -162,13 +166,28 @@ def presentation_structured(p: Presentation) -> dict:
 
 
 def presentation_from_structured(doc: dict) -> Presentation:
-    gens = tuple(doc["gens"])
-    shell = Presentation(gens, ())
+    """Read back what :func:`presentation_structured` writes; a document of
+    any other shape raises ParseError."""
+
+    def strs(values: object) -> bool:
+        return isinstance(values, list) and all(isinstance(v, str) for v in values)
+
+    per = doc.get("peripheral") if isinstance(doc, dict) else None
+    if not (
+        isinstance(doc, dict)
+        and strs(doc.get("gens"))
+        and strs(doc.get("relators"))
+        and (per is None or isinstance(per, dict) and strs([per.get("meridian"), per.get("longitude")]))
+    ):
+        raise ParseError(
+            'a structured presentation is {"gens": [...], "relators": [...], '
+            '"peripheral": null or {"meridian": ..., "longitude": ...}} with string entries'
+        )
+    shell = Presentation(tuple(doc["gens"]), ())
     relators = tuple(tokens_word(shell, r) for r in doc["relators"])
     peripheral = None
-    if doc.get("peripheral"):
+    if per is not None:
         peripheral = PeripheralPair(
-            tokens_word(shell, doc["peripheral"]["meridian"]),
-            tokens_word(shell, doc["peripheral"]["longitude"]),
+            tokens_word(shell, per["meridian"]), tokens_word(shell, per["longitude"])
         )
-    return Presentation(gens, relators, peripheral)
+    return Presentation(shell.gens, relators, peripheral)

@@ -81,6 +81,22 @@ def test_present_structured_roundtrip(capsys):
     assert presentation_from_structured(json.loads(out)).gens == ("x1", "x2")
 
 
+def test_structured_presentation_read_back(capsys, tmp_path):
+    # what --format structured prints is a presentation argument too
+    code, doc, _ = run(capsys, "present", "--format", "structured", "2: s1 s1 s1")
+    assert code == 0
+    path = tmp_path / "trefoil.json"
+    path.write_text(doc, encoding="utf-8")
+    line_format = trefoil_text(capsys).replace("\n", ";")
+    for command in ("alexander", "abelianize"):
+        expected = run(capsys, command, line_format)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, command, f"@{path}") == expected
+        assert run(capsys, command, doc.strip()) == expected
+    code, out, _ = run(capsys, "satellite", f"@{path}", "2: s1 s1 s1")
+    assert code == 0 and out == run(capsys, "satellite", line_format, "2: s1 s1 s1")[1]
+
+
 def test_satellite_from_file(capsys, tmp_path):
     seed = tmp_path / "trefoil.pres"
     seed.write_text(trefoil_text(capsys) + "\n", encoding="utf-8")
@@ -180,6 +196,11 @@ def test_help_exits_zero(capsys):
         ("verify", "--corpus", "bogus"),              # unknown corpus
         ("filtration", "gens: a", "2: s1"),           # MissingPeripheral on seed
         ("filtration", "gens: a;meridian: a;longitude:", "2: s1 s1 s1", "--depth", "-1"),
+        ("alexander", "{not json"),                   # malformed structured presentation
+        ("alexander", '{"gens": ["a"]}'),             # missing relators key
+        ("abelianize", '{"gens": ["a"], "relators": [1]}'),  # relator not a string
+        ("satellite", '{"gens": ["a"], "relators": [], "peripheral": {"meridian": "a"}}', "2: s1 s1 s1"),
+        ("alexander", '{"gens": ' + "[" * 100_000),     # nesting past the recursion limit
     ],
 )
 def test_error_paths_exit_one(capsys, argv):

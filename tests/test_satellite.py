@@ -15,7 +15,7 @@ from soleknot.errors import (
 )
 from soleknot.freegroup import Word
 from soleknot.knotgrp import abelianize, alexander_polynomial, h1_class, sphere_closure_presentation
-from soleknot.presentations import Presentation
+from soleknot.presentations import Presentation, tokens_word, word_tokens
 from soleknot.satellite import (
     build_filtration,
     cable_tight_criterion,
@@ -88,6 +88,23 @@ def test_h1_transitions():
     assert h1_transition(stages, 1) == 3
     with pytest.raises(IndexError):
         h1_transition(stages, 2)
+
+
+def test_cumulative_meridian_class():
+    # the stage-0 meridian, carried through every recorded inclusion, has
+    # class w_1 ... w_k in stage k: the inclusions compose, not only
+    # adjacent steps
+    patterns = [Braid(2, (1,)), Braid(3, (1, 1, 1, 2)), S1_3, Braid(3, (1, 2))]
+    stages = build_filtration(TREFOIL, patterns, 8, repeat=True)
+    windings = [stage.braid.strands for stage in stages[1:]]
+    text = word_tokens(TREFOIL, TREFOIL.peripheral.meridian)
+    classes = [h1_class(TREFOIL, TREFOIL.peripheral.meridian)]
+    for stage in stages[1:]:
+        rename = dict(stage.inclusion)
+        text = " ".join(rename[t] if t in rename else rename[t.lower()].upper() for t in text.split())
+        classes.append(h1_class(stage.presentation, tokens_word(stage.presentation, text)))
+    assert classes == [math.prod(windings[:k]) for k in range(9)]
+    assert classes == [1, 2, 6, 12, 36, 72, 216, 432, 1296]
 
 
 def test_filtration_alexander_chain():

@@ -1,5 +1,7 @@
 """Winding-sequence profiles and the homeomorphism classification."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -103,6 +105,47 @@ def test_profile_multiplicative_on_preperiod(a, m):
             expect[prime] = expect.get(prime, 0) + e
     assert extended.finite_map() == expect
     assert extended.infinite == base.infinite
+
+
+def primes_divide(a: int, b: int) -> bool:
+    """Every prime of a divides b, decided by gcds alone: dividing a by
+    gcd(a, b) strips a factor of each shared prime, so a reaches 1 exactly
+    when no prime of a is missing from b."""
+    while a > 1:
+        g = math.gcd(a, b)
+        if g == 1:
+            return False
+        a //= g
+    return True
+
+
+def gcd_equivalent(a: WindingSeq, b: WindingSeq) -> bool:
+    """The classification without factoring: the two period products must
+    have the same prime divisors."""
+    pa, pb = math.prod(a.period), math.prod(b.period)
+    return primes_divide(pa, pb) and primes_divide(pb, pa)
+
+
+# entries up to the factorization bound, so that leftover prime cofactors
+# above the trial-division range show up
+large_entries = st.one_of(entries, st.integers(min_value=2, max_value=10**6))
+
+
+@given(seqs, seqs)
+@settings(max_examples=150, derandomize=True)
+def test_equivalence_matches_gcd_oracle(a, b):
+    assert solenoids_equivalent(a, b) == gcd_equivalent(a, b)
+
+
+@given(seqs, large_entries, st.booleans())
+@settings(max_examples=300, derandomize=True)
+def test_gcd_oracle_on_one_extra_period_entry(a, extra, first):
+    # one added entry is equivalent exactly when its primes already divide
+    # the period, so both verdicts come up often
+    period = (extra,) + a.period if first else a.period + (extra,)
+    b = WindingSeq(a.preperiod, period)
+    assert solenoids_equivalent(a, b) == gcd_equivalent(a, b)
+    assert gcd_equivalent(a, b) == primes_divide(extra, math.prod(a.period))
 
 
 def test_sequence_text_roundtrip():
